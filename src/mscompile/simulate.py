@@ -8,6 +8,13 @@ a basis state with m qubits along -X picks up the phase
 exp(-i*tau*(N-2m)^2/4).  Application is therefore Hadamard-all, a diagonal
 phase by Hamming weight, Hadamard-all; the j = k self-terms of the double
 sum are kept, contributing a global phase per pulse.
+
+``circuit_unitary`` simulates any gate list literally, but it defers the
+work it can fold together.  It keeps a per-qubit Hadamard frame (qubit q's
+rows are held in the X basis iff its flag is set) and a pending 2x2 per
+qubit, so an ``H`` gate costs nothing, a run of single-qubit gates on one
+qubit costs one pass over the matrix, and a pulse only rotates the qubits
+not yet in the X frame.  A pass is a single batched 2x2 matmul.
 """
 
 from __future__ import annotations
@@ -23,12 +30,8 @@ MAX_UNITARY_QUBITS = 14
 
 
 def _apply_single(amps: np.ndarray, u2: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply a 2x2 gate on one qubit of the row index of amps."""
-    shape = amps.shape
-    cols = 1 if amps.ndim == 1 else shape[1]
-    m = amps.reshape(2 ** (n - 1 - qubit), 2, (2**qubit) * cols)
-    out = np.tensordot(u2, m, axes=([1], [1])).transpose(1, 0, 2)
-    return np.ascontiguousarray(out).reshape(shape)
+    """Apply a 2x2 gate on one qubit of the row index of amps, in one pass."""
+    return np.matmul(u2, amps.reshape(2 ** (n - 1 - qubit), 2, -1)).reshape(amps.shape)
 
 
 def _hadamard_all(amps: np.ndarray, n: int) -> np.ndarray:
@@ -94,36 +97,58 @@ def run_circuit(circuit: Circuit, state: StateVector | None = None) -> StateVect
     return state
 
 
+def _flush(mat: np.ndarray, frame: list[bool], pending: list, x_frame: bool) -> np.ndarray:
+    """Apply every pending 2x2, moving each qubit into (or out of) the X frame.
+
+    Afterwards mat is the whole accumulated unitary with every qubit's rows in
+    the X basis (x_frame) or the computational basis (not x_frame).
+    """
+    n = len(frame)
+    for q in range(n):
+        u2 = pending[q]
+        if frame[q] != x_frame:
+            u2 = HADAMARD if u2 is None else HADAMARD @ u2
+        if u2 is not None:
+            mat = _apply_single(mat, u2, q, n)
+        frame[q], pending[q] = x_frame, None
+    return mat
+
+
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full unitary; column j is the circuit applied to basis state |j>.
 
-    Internally tracks whether the accumulated matrix is held in the X
-    frame so that each global pulse costs one diagonal multiply instead of
-    two full Hadamard layers.
+    The accumulated unitary is held as U = (prod_q H_q^f_q P_q) M: a matrix
+    M, a Hadamard-frame flag f_q and a pending 2x2 P_q (in the frame basis)
+    per qubit.  An ``H`` gate on q only flips f_q.  A rotation g on q is
+    fused into P_q, conjugated as H g H when f_q is set.  A pulse first
+    applies H^(1 - f_q) P_q to each qubit where that is not the identity
+    (for a controlled-rotation train: the target alone), then multiplies M
+    by its phase diagonal in place, leaving every qubit in the X frame.  The
+    end applies H^f_q P_q the same way.
     """
     n = circuit.num_qubits
     if n > MAX_UNITARY_QUBITS:
         raise ValueError(f"refusing to build a 2^{n} x 2^{n} unitary (limit {MAX_UNITARY_QUBITS})")
     mat = np.eye(2**n, dtype=complex)
-    in_x_frame = False
+    frame = [False] * n
+    pending: list[np.ndarray | None] = [None] * n  # None stands for the identity
     phase_cache: dict[float, np.ndarray] = {}
     for gate in circuit.gates:
         if gate.kind == MS:
-            if not in_x_frame:
-                mat = _hadamard_all(mat, n)
-                in_x_frame = True
+            mat = _flush(mat, frame, pending, x_frame=True)
             tau = gate.angle
             if tau not in phase_cache:
-                phase_cache[tau] = _ms_phases(n, tau)
-            mat = phase_cache[tau][:, None] * mat
+                phase_cache[tau] = _ms_phases(n, tau)[:, None]
+            mat *= phase_cache[tau]
+        elif gate.kind == H:
+            frame[gate.qubit] = not frame[gate.qubit]
         else:
+            q = gate.qubit
             u2 = _gate_matrix(gate)
-            if in_x_frame:
+            if frame[q]:
                 u2 = HADAMARD @ u2 @ HADAMARD
-            mat = _apply_single(mat, u2, gate.qubit, n)
-    if in_x_frame:
-        mat = _hadamard_all(mat, n)
-    return mat
+            pending[q] = u2 if pending[q] is None else u2 @ pending[q]
+    return _flush(mat, frame, pending, x_frame=False)
 
 
 def _control_index(indices: np.ndarray, target: int) -> np.ndarray:
@@ -179,7 +204,7 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
     dim = u.shape[0]
-    return max(0.0, 1.0 - abs(np.trace(u.conj().T @ v)) / dim)
+    return max(0.0, 1.0 - abs(np.vdot(u, v)) / dim)
 
 
 def project_ancilla(u: np.ndarray, ancilla: int, bit: int) -> tuple[np.ndarray, float]:

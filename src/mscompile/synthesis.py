@@ -131,6 +131,9 @@ def _refine_completion(a, b, c_coeffs, d_coeffs, degree):
             break
         jac = np.hstack([2.0 * cv[:, None] * sin_basis, 2.0 * dv[:, None] * cos_basis])
         step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
+        # the sin(0) column is all zeros, yet lstsq can return a tiny nonzero
+        # step for it, which would break C's odd parity
+        step[0] = 0.0
         c_coeffs = c_coeffs + step[: degree + 1]
         d_coeffs = d_coeffs + step[degree + 1 :]
     _, c_coeffs, d_coeffs = best

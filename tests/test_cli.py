@@ -43,6 +43,10 @@ class TestCrotAngles:
         merged = [line for line in out.splitlines() if line.startswith("merged_phi_")]
         assert len(merged) == 7
 
+    def test_n40_pi_compiles(self, capsys):
+        assert main(["crot-angles", "--n", "40", "--alpha", "pi"]) == 0
+        assert "L = 80" in capsys.readouterr().out
+
     def test_identity_alpha_gives_identity_plan(self, tmp_path, capsys):
         assert main(["crot-angles", "--n", "2", "--alpha", "0"]) == 0
         out = capsys.readouterr().out

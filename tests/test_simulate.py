@@ -24,6 +24,45 @@ from mscompile.su2 import rx, rz
 PI = np.pi
 
 
+def _random_circuit(rng, n, length):
+    """Gate list drawn uniformly over every gate kind and every qubit."""
+    gates = []
+    for _ in range(length):
+        kind = rng.choice(["MS", "H", "RX", "RY", "RZ"])
+        if kind == "MS":
+            gates.append(Gate.ms(rng.uniform(-PI, PI)))
+        elif kind == "H":
+            gates.append(Gate.h(int(rng.integers(n))))
+        else:
+            gates.append(Gate(str(kind), int(rng.integers(n)), rng.uniform(-2 * PI, 2 * PI)))
+    return Circuit(n, tuple(gates))
+
+
+# Hand-built 3-qubit cases for the Hadamard frame and the fused pending gates
+FRAME_CASES = {
+    "every_kind_every_qubit": [
+        g
+        for q in range(3)
+        for g in (Gate.h(q), Gate.rx(q, 0.3), Gate.ms(0.7), Gate.ry(q, -1.1), Gate.rz(q, 2.0))
+    ],
+    "h_on_target": [
+        Gate.h(1), Gate.h(2), Gate.ms(0.4), Gate.h(0),
+        Gate.ms(0.4), Gate.h(0), Gate.h(1), Gate.h(2),
+    ],
+    "control_rotations_between_pulses": [
+        Gate.h(1), Gate.h(2), Gate.ms(0.5), Gate.ry(1, 0.7),
+        Gate.rz(2, -0.3), Gate.ms(0.5), Gate.h(1), Gate.h(2),
+    ],
+    "back_to_back_ms": [Gate.rx(0, 0.2), Gate.ms(0.3), Gate.ms(-1.7), Gate.ms(2.9)],
+    "runs_of_h": [
+        Gate.h(0), Gate.h(0), Gate.h(0), Gate.rz(0, 0.9), Gate.h(0), Gate.h(0),
+        Gate.ms(0.6), Gate.h(1), Gate.h(1), Gate.h(1),
+    ],
+    "ends_in_x_frame": [Gate.h(0), Gate.ms(0.8)],
+    "ends_with_pending": [Gate.ms(0.8), Gate.rx(0, 0.4), Gate.h(0), Gate.ry(0, 1.3), Gate.rz(2, 0.2)],
+}
+
+
 class TestApplyGate:
     def test_hadamard_on_zero(self):
         state = apply_gate(StateVector.basis(1), Gate.h(0))
@@ -94,6 +133,28 @@ class TestCircuitUnitary:
             circuit_unitary(Circuit(15, ()))
 
 
+class TestFrameTracker:
+    """circuit_unitary's per-qubit frame and fusion against plain references."""
+
+    @staticmethod
+    def _check(circ):
+        n = circ.num_qubits
+        got = circuit_unitary(circ)
+        np.testing.assert_allclose(got, slow_unitary(circ), atol=1e-12)
+        for j in range(2**n):
+            state = run_circuit(circ, StateVector.basis(n, j))
+            np.testing.assert_allclose(got[:, j], state.amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_circuits(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        self._check(_random_circuit(rng, 1 + seed % 5, int(rng.integers(1, 25))))
+
+    @pytest.mark.parametrize("case", sorted(FRAME_CASES))
+    def test_frame_cases(self, case):
+        self._check(Circuit(3, tuple(FRAME_CASES[case])))
+
+
 class TestIdealUnitaries:
     def test_crot_identity_angle(self):
         np.testing.assert_array_equal(ideal_crot(3, 0.0), np.eye(8))
@@ -139,6 +200,13 @@ class TestPhaseDistance:
     def test_orthogonal_pair(self):
         z = np.diag([1.0, -1.0]).astype(complex)
         assert phase_distance(np.eye(2, dtype=complex), z) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+    def test_matches_trace_formula_on_non_unitary_pairs(self, dim):
+        rng = np.random.default_rng(dim)
+        u, v = (0.3 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) for _ in range(2))
+        want = max(0.0, 1.0 - abs(np.trace(u.conj().T @ v)) / dim)
+        assert phase_distance(u, v) == pytest.approx(want, abs=1e-14)
 
 
 class TestProjectAncilla:

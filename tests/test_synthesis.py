@@ -5,13 +5,18 @@ from _helpers import quadruple_matrix, random_admissible_series, series_from_sam
 from mscompile import (
     CompilationPlan,
     TrigSeries,
+    build_crot_circuit,
+    circuit_unitary,
     complete,
     crot_angles,
     evaluate_plan,
     extract_angles,
+    ideal_weighted,
     invert_plan,
     pad_for_phase_reset,
+    phase_distance,
     phase_reset_ok,
+    weighted_angles,
 )
 from mscompile.su2 import pauli_components, rx, rz
 
@@ -195,6 +200,16 @@ class TestCrotAngles:
                 c, d = complete(a, b, +1)
                 total = a(GRID) ** 2 + b(GRID) ** 2 + c(GRID) ** 2 + d(GRID) ** 2
                 assert np.max(np.abs(total - 1)) < 1e-10
+
+
+class TestWeightedAngles:
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_profiles_compile_and_verify(self, n, seed):
+        # completion once leaked a nonzero sin(0) coefficient into C here
+        alphas = np.random.default_rng(100 * n + seed).uniform(-np.pi, np.pi, size=n)
+        circ = build_crot_circuit(weighted_angles(n, alphas))
+        assert phase_distance(circuit_unitary(circ), ideal_weighted(n, alphas)) < 1e-9
 
 
 class TestInvertPlan:
