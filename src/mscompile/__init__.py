@@ -2,20 +2,11 @@
 Molmer-Sorensen pulses interleaved with single-qubit rotations on one
 target qubit, and verify the result by exact statevector simulation."""
 
-from .series import EVEN, ODD, LaurentPoly, ParityError, TrigSeries, from_laurent, to_laurent
-from .subspace import (
-    SubspaceModel,
-    compute_thetas,
-    default_params,
-    energy_gap,
-    phase_reset_ok,
-    star_spectrum,
-)
+from .series import EVEN, ODD, ParityError, SynthesisError, TrigSeries
+from .subspace import compute_thetas, default_params, phase_reset_ok
 from .fitting import (
     ConstraintSet,
-    ControlledRz,
     FittingError,
-    WeightDependentX,
     constraint_set_crot,
     fit_A,
     fit_weight_dependent,
@@ -29,7 +20,6 @@ from .synthesis import (
     crot_angles,
     evaluate_plan,
     extract_angles,
-    invert_plan,
     pad_for_phase_reset,
     weighted_angles,
 )
@@ -44,14 +34,11 @@ from .circuit import (
     build_from_merged,
     build_toffoli_circuit,
     deserialize,
-    merge_adjacent_rz,
     plan_merged_angles,
     serialize,
     to_text,
 )
 from .simulate import (
-    StateVector,
-    apply_gate,
     circuit_unitary,
     control_blocks,
     ideal_crot,
@@ -60,7 +47,6 @@ from .simulate import (
     max_off_block,
     phase_distance,
     project_ancilla,
-    run_circuit,
 )
 
 __version__ = "0.1.0"
@@ -68,21 +54,14 @@ __version__ = "0.1.0"
 __all__ = [
     "EVEN",
     "ODD",
-    "LaurentPoly",
     "ParityError",
+    "SynthesisError",
     "TrigSeries",
-    "from_laurent",
-    "to_laurent",
-    "SubspaceModel",
     "compute_thetas",
     "default_params",
-    "energy_gap",
     "phase_reset_ok",
-    "star_spectrum",
     "ConstraintSet",
-    "ControlledRz",
     "FittingError",
-    "WeightDependentX",
     "constraint_set_crot",
     "fit_A",
     "fit_weight_dependent",
@@ -94,7 +73,6 @@ __all__ = [
     "crot_angles",
     "evaluate_plan",
     "extract_angles",
-    "invert_plan",
     "pad_for_phase_reset",
     "weighted_angles",
     "Circuit",
@@ -107,12 +85,9 @@ __all__ = [
     "build_from_merged",
     "build_toffoli_circuit",
     "deserialize",
-    "merge_adjacent_rz",
     "plan_merged_angles",
     "serialize",
     "to_text",
-    "StateVector",
-    "apply_gate",
     "circuit_unitary",
     "control_blocks",
     "ideal_crot",
@@ -121,5 +96,4 @@ __all__ = [
     "max_off_block",
     "phase_distance",
     "project_ancilla",
-    "run_circuit",
 ]

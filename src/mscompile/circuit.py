@@ -1,4 +1,4 @@
-"""Gate-level IR: pulse-train emission, rotation merging, serialization.
+"""Gate-level IR: pulse-train emission, merged-angle form, serialization.
 
 Gates are either the global entangling pulse ``MS`` (always acts on every
 qubit, so it carries no qubit index) or single-qubit ``RX``/``RY``/``RZ``/``H``.
@@ -79,9 +79,6 @@ class Gate:
     @classmethod
     def h(cls, qubit: int) -> Gate:
         return cls(H, qubit)
-
-    def touches(self, qubit: int) -> bool:
-        return self.kind == MS or self.qubit == qubit
 
 
 @dataclass(frozen=True)
@@ -174,36 +171,6 @@ def build_from_merged(n: int, tau: float, h: float, merged_phis) -> Circuit:
         gates.append(Gate.rz(0, m))
     gates.extend(Gate.h(q) for q in controls)
     return Circuit(n, tuple(gates), target_qubit=0)
-
-
-def merge_adjacent_rz(circuit: Circuit) -> Circuit:
-    """Sum consecutive z-rotations on a qubit; drop rotations that vanish.
-
-    Two RZ gates merge whenever no gate between them touches their qubit
-    (the global pulse touches every qubit).
-    """
-    out: list[Gate] = []
-    for gate in circuit.gates:
-        if gate.kind != RZ:
-            out.append(gate)
-            continue
-        merged = False
-        for i in range(len(out) - 1, -1, -1):
-            if out[i].kind == RZ and out[i].qubit == gate.qubit:
-                angle = canonical_angle(out[i].angle + gate.angle)
-                if abs(angle) < 1e-12:
-                    out.pop(i)
-                else:
-                    out[i] = Gate.rz(gate.qubit, angle)
-                merged = True
-                break
-            if out[i].touches(gate.qubit):
-                break
-        if not merged:
-            angle = canonical_angle(gate.angle)
-            if abs(angle) >= 1e-12:
-                out.append(Gate.rz(gate.qubit, angle))
-    return Circuit(circuit.num_qubits, tuple(out), circuit.target_qubit, circuit.ancilla_qubits)
 
 
 def build_toffoli_circuit(n: int) -> Circuit:

@@ -22,8 +22,7 @@ from .circuit import (
     serialize,
     to_text,
 )
-from .fitting import FittingError, fit_A
-from .series import ODD, TrigSeries
+from .series import SynthesisError
 from .simulate import (
     circuit_unitary,
     control_blocks,
@@ -35,18 +34,11 @@ from .simulate import (
     project_ancilla,
 )
 from .subspace import compute_thetas, default_params
-from .synthesis import (
-    CompletionError,
-    ExtractionError,
-    complete,
-    crot_angles,
-    weighted_angles,
-)
+from .synthesis import _crot_quadruple, crot_angles, weighted_angles
 
 USAGE_ERROR = 64
 SYNTHESIS_ERROR = 2
 VERIFY_ERROR = 1
-_SYNTH_ERRORS = (FittingError, CompletionError, ExtractionError)
 
 
 def parse_angle(text: str) -> float:
@@ -208,11 +200,7 @@ def cmd_series(args) -> int:
     if args.n < 2:
         print("error: need --n >= 2", file=sys.stderr)
         return USAGE_ERROR
-    alpha = args.alpha
-    a = fit_A(args.n, alpha)
-    b = TrigSeries.zero(ODD)
-    sin_half = np.sin(alpha / 2.0)
-    c, d = complete(a, b, -1 if sin_half > 0 else +1)
+    a, b, c, d = _crot_quadruple(args.n, args.alpha)
     thetas = np.linspace(-np.pi, np.pi, args.grid_points)
     with open(args.out, "w") as fh:
         fh.write("theta\tA\tB\tC\tD\n")
@@ -272,7 +260,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return _HANDLERS[args.command](args)
-    except _SYNTH_ERRORS as exc:
+    except SynthesisError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return SYNTHESIS_ERROR
     except ValueError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import EVEN, ODD, TrigSeries
+from .series import EVEN, ODD, SynthesisError, TrigSeries
 from .su2 import canonical_angle
 from .subspace import compute_thetas, default_params
 
@@ -24,36 +24,8 @@ GRID_POINTS = 2048
 MAX_MODULUS_SLACK = 1e-9
 
 
-class FittingError(RuntimeError):
+class FittingError(SynthesisError):
     """The constraint system could not be solved to tolerance."""
-
-
-@dataclass(frozen=True)
-class ControlledRz:
-    """Rotate the target by R_z(alpha) iff all N-1 controls are |1>."""
-
-    n: int
-    alpha: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-
-
-@dataclass(frozen=True)
-class WeightDependentX:
-    """Rotate the target by R_x(alphas[q]) when the controls have weight q."""
-
-    n: int
-    alphas: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        alphas = tuple(float(a) for a in self.alphas)
-        if len(alphas) != self.n:
-            raise ValueError(f"need one angle per control weight 0..{self.n - 1}, got {len(alphas)}")
-        object.__setattr__(self, "alphas", alphas)
 
 
 @dataclass(frozen=True)
@@ -172,8 +144,12 @@ def fit_weight_dependent(n: int, alphas) -> tuple[TrigSeries, TrigSeries]:
     2N-1 and B degree 2N, so each system is square; the quadruple degree
     budget is 2N, i.e. a pulse train of length 4N.
     """
-    target = WeightDependentX(n, tuple(alphas))
-    alphas = [canonical_angle(a) for a in target.alphas]
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    alphas = [float(a) for a in alphas]
+    if len(alphas) != n:
+        raise ValueError(f"need one angle per control weight 0..{n - 1}, got {len(alphas)}")
+    alphas = [canonical_angle(a) for a in alphas]
     tau, h = weighted_params(n)
     thetas = compute_thetas(n, tau, h)
 

@@ -12,7 +12,7 @@ sin(k*theta) <-> (z^k - z^-k)/(2i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,14 @@ ODD = "odd"
 
 class ParityError(ValueError):
     """Coefficients are inconsistent with the requested parity."""
+
+
+class SynthesisError(RuntimeError):
+    """A synthesis stage (fit, completion, extraction) missed its tolerance.
+
+    It lives here because every stage imports this module, while
+    ``synthesis`` itself imports ``fitting``.
+    """
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,7 @@ class LaurentPoly:
     Stored dense; ``coeffs`` runs from exponent -M up to +M.
     """
 
-    coeffs: np.ndarray = field()
+    coeffs: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=complex)
@@ -103,20 +111,6 @@ class LaurentPoly:
     @property
     def degree(self) -> int:
         return (self.coeffs.size - 1) // 2
-
-    def coeff(self, k: int) -> complex:
-        m = self.degree
-        if abs(k) > m:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[k + m])
-
-    def is_real_on_circle(self, tol: float = 1e-12) -> bool:
-        """True iff coeffs[k] == conj(coeffs[-k]) for all k (up to tol)."""
-        return bool(np.max(np.abs(self.coeffs - np.conj(self.coeffs[::-1]))) <= tol)
-
-    def reciprocal_conj(self) -> LaurentPoly:
-        """p*(1/conj(z)): coefficientwise conj(coeffs[-k])."""
-        return LaurentPoly(np.conj(self.coeffs[::-1]))
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         return LaurentPoly(np.convolve(self.coeffs, other.coeffs))
@@ -134,13 +128,6 @@ class LaurentPoly:
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self + (-other)
 
-    def evaluate(self, z):
-        z = np.asarray(z, dtype=complex)
-        m = self.degree
-        powers = np.power.outer(z, np.arange(-m, m + 1))
-        out = powers @ self.coeffs
-        return out if out.ndim else complex(out)
-
 
 def to_laurent(s: TrigSeries) -> LaurentPoly:
     """Laurent form of a trig series on the unit circle."""
@@ -156,28 +143,3 @@ def to_laurent(s: TrigSeries) -> LaurentPoly:
             out[m + k] += c / 2.0j
             out[m - k] -= c / 2.0j
     return LaurentPoly(out)
-
-
-def from_laurent(p: LaurentPoly, parity: str, tol: float = 1e-12) -> TrigSeries:
-    """Recover the trig series of the given parity from its Laurent form.
-
-    Raises ParityError if p is not real on the circle with that parity.
-    """
-    if parity not in (EVEN, ODD):
-        raise ParityError(f"parity must be {EVEN!r} or {ODD!r}, got {parity!r}")
-    scale = max(1.0, float(np.max(np.abs(p.coeffs))))
-    if not p.is_real_on_circle(tol * scale):
-        raise ParityError("Laurent polynomial is not real on the unit circle")
-    m = p.degree
-    sym = p.coeffs - p.coeffs[::-1]  # vanishes for even symmetry
-    if parity == EVEN:
-        if np.max(np.abs(sym)) > tol * scale:
-            raise ParityError("Laurent coefficients are not symmetric (even parity)")
-        coeffs = [float(np.real(p.coeff(0)))] + [2.0 * float(np.real(p.coeff(k))) for k in range(1, m + 1)]
-    else:
-        if np.max(np.abs(p.coeffs + p.coeffs[::-1])) > tol * scale:
-            raise ParityError("Laurent coefficients are not antisymmetric (odd parity)")
-        if abs(p.coeff(0)) > tol * scale:
-            raise ParityError("odd series cannot carry a constant term")
-        coeffs = [0.0] + [2.0 * float(np.imag(p.coeff(k))) * -1.0 for k in range(1, m + 1)]
-    return TrigSeries(parity, tuple(coeffs))

@@ -1,4 +1,4 @@
-"""Exact statevector simulation and ideal reference unitaries.
+"""Exact unitary simulation, ideal reference unitaries and block diagnostics.
 
 Qubit 0 is the least significant bit of the basis-state index, so with the
 default target qubit 0 the index reads (controls << 1) | target_bit.
@@ -19,8 +19,6 @@ not yet in the X frame.  A pass is a single batched 2x2 matmul.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .circuit import H, MS, RX, RY, RZ, Circuit, Gate
@@ -32,12 +30,6 @@ MAX_UNITARY_QUBITS = 14
 def _apply_single(amps: np.ndarray, u2: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """Apply a 2x2 gate on one qubit of the row index of amps, in one pass."""
     return np.matmul(u2, amps.reshape(2 ** (n - 1 - qubit), 2, -1)).reshape(amps.shape)
-
-
-def _hadamard_all(amps: np.ndarray, n: int) -> np.ndarray:
-    for q in range(n):
-        amps = _apply_single(amps, HADAMARD, q, n)
-    return amps
 
 
 def _ms_phases(n: int, tau: float) -> np.ndarray:
@@ -55,46 +47,6 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     if gate.kind == H:
         return HADAMARD
     raise ValueError(f"no matrix for gate kind {gate.kind!r}")
-
-
-@dataclass(frozen=True)
-class StateVector:
-    n: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.n,):
-            raise ValueError(f"need 2^{self.n} amplitudes, got shape {amps.shape}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def basis(cls, n: int, index: int = 0) -> StateVector:
-        amps = np.zeros(2**n, dtype=complex)
-        amps[index] = 1.0
-        return cls(n, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """New state with one gate applied; the input state is left untouched."""
-    if gate.kind == MS:
-        amps = _hadamard_all(state.amplitudes, state.n)
-        amps = amps * _ms_phases(state.n, gate.angle)
-        amps = _hadamard_all(amps, state.n)
-    else:
-        amps = _apply_single(state.amplitudes, _gate_matrix(gate), gate.qubit, state.n)
-    return StateVector(state.n, amps)
-
-
-def run_circuit(circuit: Circuit, state: StateVector | None = None) -> StateVector:
-    if state is None:
-        state = StateVector.basis(circuit.num_qubits)
-    for gate in circuit.gates:
-        state = apply_gate(state, gate)
-    return state
 
 
 def _flush(mat: np.ndarray, frame: list[bool], pending: list, x_frame: bool) -> np.ndarray:
@@ -151,11 +103,17 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return _flush(mat, frame, pending, x_frame=False)
 
 
-def _control_index(indices: np.ndarray, target: int) -> np.ndarray:
-    """Basis index with the target bit squeezed out."""
-    high = (indices >> (target + 1)) << target
-    low = indices & ((1 << target) - 1)
-    return high | low
+def _target_blocks(n: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fancy index of every control pattern's 2x2 block on the target.
+
+    ``u[_target_blocks(n, target)]`` has shape (2^(n-1), 2, 2).  Entry c is
+    the block of control pattern c, the basis index with the target bit
+    squeezed out; its rows and columns have the target bit 0, then 1.
+    """
+    ctrl = np.arange(2 ** (n - 1))
+    i0 = ((ctrl >> target) << (target + 1)) | (ctrl & ((1 << target) - 1))
+    pair = np.stack([i0, i0 | (1 << target)], axis=1)
+    return pair[:, :, None], pair[:, None, :]
 
 
 def ideal_crot(n: int, alpha: float, target: int = 0) -> np.ndarray:
@@ -189,13 +147,9 @@ def ideal_weighted(n: int, alphas, target: int = 0) -> np.ndarray:
     alphas = [float(a) for a in alphas]
     if len(alphas) != n:
         raise ValueError(f"need {n} angles, got {len(alphas)}")
-    dim = 2**n
-    u = np.zeros((dim, dim), dtype=complex)
-    for ctrl in range(dim // 2):
-        q = int(ctrl).bit_count()
-        i0 = ((ctrl >> target) << (target + 1)) | (ctrl & ((1 << target) - 1))
-        pair = [i0, i0 | (1 << target)]
-        u[np.ix_(pair, pair)] = rx(alphas[q])
+    weights = np.bitwise_count(np.arange(2 ** (n - 1)))
+    u = np.zeros((2**n, 2**n), dtype=complex)
+    u[_target_blocks(n, target)] = np.array([rx(a) for a in alphas])[weights]
     return u
 
 
@@ -213,9 +167,7 @@ def project_ancilla(u: np.ndarray, ancilla: int, bit: int) -> tuple[np.ndarray, 
     Leakage is the worst column-norm deficit of that block: zero iff the
     ancilla is restored exactly on every input.
     """
-    dim = u.shape[0]
-    n = dim.bit_length() - 1
-    idx = np.arange(dim)
+    idx = np.arange(u.shape[0])
     keep = idx[((idx >> ancilla) & 1) == bit]
     block = u[np.ix_(keep, keep)]
     leakage = max(0.0, 1.0 - float(np.min(np.linalg.norm(block, axis=0))))
@@ -224,16 +176,11 @@ def project_ancilla(u: np.ndarray, ancilla: int, bit: int) -> tuple[np.ndarray, 
 
 def control_blocks(u: np.ndarray, target: int = 0):
     """Iterate (control_pattern, 2x2 target block) over all control states."""
-    dim = u.shape[0]
-    for ctrl in range(dim // 2):
-        i0 = ((ctrl >> target) << (target + 1)) | (ctrl & ((1 << target) - 1))
-        pair = [i0, i0 | (1 << target)]
-        yield ctrl, u[np.ix_(pair, pair)]
+    yield from enumerate(u[_target_blocks(u.shape[0].bit_length() - 1, target)])
 
 
 def max_off_block(u: np.ndarray, target: int = 0) -> float:
     """Largest matrix element connecting different control bitstrings."""
-    dim = u.shape[0]
-    ctrl = _control_index(np.arange(dim), target)
-    mask = ctrl[:, None] != ctrl[None, :]
-    return float(np.max(np.abs(u[mask]))) if mask.any() else 0.0
+    off = np.abs(u)
+    off[_target_blocks(u.shape[0].bit_length() - 1, target)] = 0.0
+    return float(np.max(off))

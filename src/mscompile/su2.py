@@ -8,9 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-ID2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -31,19 +28,6 @@ def rz(angle: float) -> np.ndarray:
     """exp(-i*angle/2 * Z)."""
     p = np.exp(-0.5j * angle)
     return np.array([[p, 0.0], [0.0, np.conj(p)]])
-
-
-def pauli_components(u: np.ndarray) -> tuple[complex, complex, complex, complex]:
-    """Decompose u = a*1 + i(b*X + c*Y + d*Z).
-
-    For an exact SU(2) matrix the four components are real; any imaginary
-    part measures deviation from SU(2).
-    """
-    a = (u[0, 0] + u[1, 1]) / 2.0
-    b = (u[0, 1] + u[1, 0]) / 2.0j
-    c = (u[0, 1] - u[1, 0]) / 2.0
-    d = (u[0, 0] - u[1, 1]) / 2.0j
-    return a, b, c, d
 
 
 def canonical_angle(angle: float) -> float:

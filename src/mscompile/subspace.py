@@ -14,11 +14,7 @@ those reset exactly when tau * L is a multiple of 2*pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-J = 1.0  # energy scale; physics enters only through tau and h
 
 
 def _check_size(n: int) -> None:
@@ -34,28 +30,6 @@ def default_params(n: int) -> tuple[float, float]:
     """
     _check_size(n)
     return np.pi / n, -np.pi / n
-
-
-def energy_gap(n: int, q: int) -> float:
-    """Splitting J*(N-1-2q) between the two target states at control weight q."""
-    if not 0 <= q <= n - 1:
-        raise ValueError(f"Hamming weight q={q} out of range 0..{n - 1}")
-    return J * (n - 1 - 2 * q)
-
-
-def star_spectrum(n: int) -> list[tuple[int, int, float]]:
-    """Eigensystem of the star-coupled Ising Hamiltonian.
-
-    Returns one entry (target_bit, q, energy) per group of degenerate
-    eigenstates; the level with target_bit = 0 sits at +J*((N-1)/2 - q).
-    """
-    _check_size(n)
-    out = []
-    for b0 in (0, 1):
-        for q in range(n):
-            e = J * ((n - 1) / 2.0 - q)
-            out.append((b0, q, e if b0 == 0 else -e))
-    return out
 
 
 def compute_thetas(n: int, tau: float, h: float) -> list[float]:
@@ -74,22 +48,3 @@ def phase_reset_ok(n: int, length: int, tau: float, tol: float = 1e-12) -> bool:
         raise ValueError("pulse count must be non-negative")
     turns = tau * length / (2.0 * np.pi)
     return bool(abs(turns - round(turns)) * 2.0 * np.pi <= tol)
-
-
-@dataclass(frozen=True)
-class SubspaceModel:
-    """Per-Hamming-weight rotation data for an N-qubit pulse train."""
-
-    n: int
-    tau: float
-    h: float
-    thetas: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        _check_size(self.n)
-        object.__setattr__(self, "thetas", tuple(compute_thetas(self.n, self.tau, self.h)))
-
-    @classmethod
-    def with_default_params(cls, n: int) -> SubspaceModel:
-        tau, h = default_params(n)
-        return cls(n, tau, h)

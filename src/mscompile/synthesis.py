@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import EVEN, ODD, LaurentPoly, TrigSeries, to_laurent
+from .series import EVEN, ODD, LaurentPoly, SynthesisError, TrigSeries, to_laurent
 from .fitting import fit_A, fit_weight_dependent, weighted_params
 from .su2 import PAULI_Z, canonical_angle, rx, rz
 from .subspace import default_params, phase_reset_ok
@@ -29,11 +29,11 @@ NORMALIZATION_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
 
 
-class CompletionError(RuntimeError):
+class CompletionError(SynthesisError):
     """Spectral factorization failed to reach tolerance."""
 
 
-class ExtractionError(RuntimeError):
+class ExtractionError(SynthesisError):
     """Angle peeling failed to reproduce the quadruple to tolerance."""
 
 
@@ -395,6 +395,17 @@ def pad_for_phase_reset(plan: CompilationPlan) -> CompilationPlan:
     return CompilationPlan(plan.n, plan.tau, plan.h, phis)
 
 
+def _crot_quadruple(n: int, alpha: float) -> tuple[TrigSeries, TrigSeries, TrigSeries, TrigSeries]:
+    """Normalized (A, B, C, D) of the controlled rotation: fitted A, zero B."""
+    a = fit_A(n, alpha)
+    b = TrigSeries.zero(ODD)
+    # pin D(pi) = -sin(alpha/2) so the special block is Rz(alpha), not its
+    # inverse
+    sin_half = np.sin(alpha / 2.0)
+    c, d = complete(a, b, -1 if sin_half > 0 else +1)
+    return a, b, c, d
+
+
 def crot_angles(n: int, alpha: float) -> CompilationPlan:
     """Angle sequence implementing Rz(alpha) on the target iff all N-1
     controls are |1>, using 2N global pulses."""
@@ -402,13 +413,7 @@ def crot_angles(n: int, alpha: float) -> CompilationPlan:
         raise ValueError(f"need n >= 2, got {n}")
     alpha = canonical_angle(alpha)
     tau, h = default_params(n)
-    a = fit_A(n, alpha)
-    b = TrigSeries.zero(ODD)
-    # pin D(pi) = -sin(alpha/2) so the special block is Rz(alpha), not its
-    # inverse
-    sin_half = np.sin(alpha / 2.0)
-    d_sign = -1 if sin_half > 0 else +1
-    c, d = complete(a, b, d_sign)
+    a, b, c, d = _crot_quadruple(n, alpha)
     phis = extract_angles(a, b, c, d, n - 1)
     plan = CompilationPlan(n, tau, h, phis)
     return pad_for_phase_reset(plan)
@@ -422,16 +427,3 @@ def weighted_angles(n: int, alphas) -> CompilationPlan:
     tau, h = weighted_params(n)
     plan = CompilationPlan(n, tau, h, phis)
     return pad_for_phase_reset(plan)
-
-
-def invert_plan(plan: CompilationPlan) -> CompilationPlan:
-    """Plan whose circuit implements the inverse unitary.
-
-    Reverses the pulse order and conjugates each X step by shifting its
-    z-angle by pi; the leading z-rotation is undone by negating phi_0 and
-    absorbing it into the shifted angles.
-    """
-    phi0 = plan.phis[0]
-    rest = plan.phis[1:]
-    shifted = tuple(canonical_angle(p + np.pi + phi0) for p in reversed(rest))
-    return CompilationPlan(plan.n, plan.tau, plan.h, (canonical_angle(-phi0),) + shifted)

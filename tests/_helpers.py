@@ -51,6 +51,19 @@ def slow_unitary(circuit: Circuit) -> np.ndarray:
     return u
 
 
+def pauli_components(u: np.ndarray) -> tuple[complex, complex, complex, complex]:
+    """Decompose u = a*1 + i(b*X + c*Y + d*Z).
+
+    For an exact SU(2) matrix the four components are real; any imaginary
+    part measures deviation from SU(2).
+    """
+    a = (u[0, 0] + u[1, 1]) / 2.0
+    b = (u[0, 1] + u[1, 0]) / 2.0j
+    c = (u[0, 1] - u[1, 0]) / 2.0
+    d = (u[0, 0] - u[1, 1]) / 2.0j
+    return a, b, c, d
+
+
 def quadruple_matrix(a, b, c, d, theta) -> np.ndarray:
     av, bv, cv, dv = a(theta), b(theta), c(theta), d(theta)
     return np.array([[av + 1j * dv, 1j * bv + cv], [1j * bv - cv, av - 1j * dv]])

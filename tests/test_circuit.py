@@ -18,7 +18,6 @@ from mscompile import (
     crot_angles,
     deserialize,
     ideal_toffoli,
-    merge_adjacent_rz,
     phase_distance,
     plan_merged_angles,
     project_ancilla,
@@ -62,42 +61,6 @@ class TestBuildCrot:
         plan = CompilationPlan(3, PI / 3, -PI / 3, (0.0, 0.1, 0.2, 0.3, 0.4))
         with pytest.raises(PhaseResetError):
             build_crot_circuit(plan)
-
-
-class TestMergeAdjacentRz:
-    def test_plain_pair(self):
-        circ = Circuit(1, (Gate.rz(0, 0.3), Gate.rz(0, 0.5)))
-        merged = merge_adjacent_rz(circ)
-        assert len(merged.gates) == 1
-        assert merged.gates[0].angle == pytest.approx(0.8)
-
-    def test_merges_across_disjoint_support(self):
-        circ = Circuit(2, (Gate.rz(0, 0.3), Gate.h(1), Gate.rz(0, 0.5)))
-        merged = merge_adjacent_rz(circ)
-        kinds = [g.kind for g in merged.gates]
-        assert kinds == ["RZ", "H"]
-        assert merged.gates[0].angle == pytest.approx(0.8)
-
-    def test_ms_blocks_merging(self):
-        circ = Circuit(2, (Gate.rz(0, 0.3), Gate.ms(0.1), Gate.rz(0, 0.5)))
-        assert sum(1 for g in merge_adjacent_rz(circ).gates if g.kind == "RZ") == 2
-
-    def test_cancellation_is_dropped(self):
-        circ = Circuit(1, (Gate.rz(0, 0.4), Gate.rz(0, -0.4)))
-        assert merge_adjacent_rz(circ).gates == ()
-
-    def test_crot_slot_count(self):
-        plan = crot_angles(3, PI)
-        merged_circ = merge_adjacent_rz(build_crot_circuit(plan))
-        slots = plan_merged_angles(plan)
-        assert len(slots) == 2 * 3 + 1  # Table-style phi~ count, trailing zero included
-        nonzero = sum(1 for s in slots if abs(s) > 1e-12)
-        assert sum(1 for g in merged_circ.gates if g.kind == "RZ") == nonzero
-
-    def test_preserves_unitary(self):
-        for n, alpha in [(2, 0.3), (3, PI), (4, -PI), (4, 2 * PI)]:
-            circ = build_crot_circuit(crot_angles(n, alpha))
-            assert phase_distance(circuit_unitary(circ), circuit_unitary(merge_adjacent_rz(circ))) < 1e-12
 
 
 class TestBuildFromMerged:

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from mscompile import FittingError, deserialize, serialize, Circuit
+from mscompile import (
+    Circuit,
+    CompletionError,
+    ExtractionError,
+    FittingError,
+    SynthesisError,
+    deserialize,
+    serialize,
+)
 from mscompile.cli import main, parse_angle
 
 PI = np.pi
@@ -104,9 +112,12 @@ class TestCompileVerify:
         assert main(args) == 1  # 3-decimal table angles miss 1e-6
         assert main(args + ["--tolerance", "1e-2"]) == 0
 
-    def test_synthesis_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("error", [FittingError, CompletionError, ExtractionError], ids=lambda e: e.__name__)
+    def test_synthesis_failure_exit_code(self, error, tmp_path, monkeypatch, capsys):
+        assert issubclass(error, SynthesisError)
+
         def boom(n, alpha):
-            raise FittingError("forced failure")
+            raise error("forced failure")
 
         monkeypatch.setattr("mscompile.cli.crot_angles", boom)
         code = main(["compile", "--kind", "crot", "--n", "3", "--alpha", "pi", "--out", str(tmp_path / "x.json")])

@@ -3,10 +3,9 @@ import pytest
 
 from mscompile import (
     ConstraintSet,
-    ControlledRz,
     FittingError,
-    WeightDependentX,
     constraint_set_crot,
+    crot_angles,
     fit_A,
     fit_weight_dependent,
     weighted_params,
@@ -95,9 +94,11 @@ def test_solve_series_singular():
 
 def test_gate_target_validation():
     with pytest.raises(ValueError):
-        ControlledRz(1, 0.3)
-    with pytest.raises(ValueError):
-        WeightDependentX(3, (0.1, 0.2))
+        crot_angles(1, 0.3)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        fit_weight_dependent(1, (0.1,))
+    with pytest.raises(ValueError, match="one angle per control weight"):
+        fit_weight_dependent(3, (0.1, 0.2))
 
 
 def test_weighted_params_avoid_mirror_collisions():

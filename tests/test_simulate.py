@@ -5,8 +5,6 @@ from _helpers import dense_ms, slow_unitary
 from mscompile import (
     Circuit,
     Gate,
-    StateVector,
-    apply_gate,
     build_crot_circuit,
     circuit_unitary,
     control_blocks,
@@ -17,7 +15,6 @@ from mscompile import (
     max_off_block,
     phase_distance,
     project_ancilla,
-    run_circuit,
 )
 from mscompile.su2 import rx, rz
 
@@ -36,6 +33,26 @@ def _random_circuit(rng, n, length):
         else:
             gates.append(Gate(str(kind), int(rng.integers(n)), rng.uniform(-2 * PI, 2 * PI)))
     return Circuit(n, tuple(gates))
+
+
+def _gate_by_gate(circ, j):
+    """|j> pushed through the circuit one single-gate unitary at a time."""
+    state = np.zeros(2**circ.num_qubits, dtype=complex)
+    state[j] = 1.0
+    for gate in circ.gates:
+        state = circuit_unitary(Circuit(circ.num_qubits, (gate,))) @ state
+    return state
+
+
+def _ms_one_qubit(n, tau):
+    """One qubit: (X)^2 = 1, so the pulse is the global phase exp(-i*tau/4)."""
+    return np.exp(-0.25j * tau) * np.eye(2)
+
+
+def _ms_two_qubits(n, tau):
+    """Two qubits: (X1 + X2)^2 = 2 + 2 X1 X2."""
+    xx = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
+    return np.exp(-0.5j * tau) * (np.cos(tau / 2) * np.eye(4) - 1j * np.sin(tau / 2) * xx)
 
 
 # Hand-built 3-qubit cases for the Hadamard frame and the fused pending gates
@@ -63,39 +80,6 @@ FRAME_CASES = {
 }
 
 
-class TestApplyGate:
-    def test_hadamard_on_zero(self):
-        state = apply_gate(StateVector.basis(1), Gate.h(0))
-        np.testing.assert_allclose(state.amplitudes, [1 / np.sqrt(2)] * 2, atol=1e-15)
-
-    def test_ms_single_qubit_is_global_phase(self):
-        tau = 0.9
-        state = apply_gate(StateVector.basis(1, 1), Gate.ms(tau))
-        want = np.exp(-0.25j * tau) * np.array([0, 1.0])
-        np.testing.assert_allclose(state.amplitudes, want, atol=1e-14)
-
-    def test_ms_two_qubits_closed_form(self):
-        tau = 1.234
-        got = circuit_unitary(Circuit(2, (Gate.ms(tau),)))
-        xx = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
-        want = np.exp(-0.5j * tau) * (np.cos(tau / 2) * np.eye(4) - 1j * np.sin(tau / 2) * xx)
-        np.testing.assert_allclose(got, want, atol=1e-13)
-
-    def test_norm_preserved(self):
-        rng = np.random.default_rng(20)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = StateVector(3, amps / np.linalg.norm(amps))
-        for gate in (Gate.ms(0.41), Gate.h(1), Gate.rx(2, 0.3), Gate.rz(0, -1.2), Gate.ry(1, 2.2)):
-            state = apply_gate(state, gate)
-            assert abs(state.norm() - 1) < 1e-12
-
-    def test_input_state_untouched(self):
-        state = StateVector.basis(2)
-        before = state.amplitudes.copy()
-        apply_gate(state, Gate.h(0))
-        np.testing.assert_array_equal(state.amplitudes, before)
-
-
 class TestCircuitUnitary:
     def test_empty_circuit(self):
         np.testing.assert_array_equal(circuit_unitary(Circuit(2, ())), np.eye(4))
@@ -104,11 +88,17 @@ class TestCircuitUnitary:
         got = circuit_unitary(Circuit(1, (Gate.h(0),)))
         np.testing.assert_allclose(got, np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-15)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_ms_matches_dense_exponential(self, n):
-        tau = 0.7318
+    @pytest.mark.parametrize(
+        "n,tau,want,atol",
+        [pytest.param(n, 0.7318, dense_ms, 1e-12, id=str(n)) for n in (1, 2, 3, 4)]
+        + [
+            pytest.param(1, 0.9, _ms_one_qubit, 1e-14, id="1-global-phase"),
+            pytest.param(2, 1.234, _ms_two_qubits, 1e-13, id="2-closed-form"),
+        ],
+    )
+    def test_ms_matches_dense_exponential(self, n, tau, want, atol):
         got = circuit_unitary(Circuit(n, (Gate.ms(tau),)))
-        np.testing.assert_allclose(got, dense_ms(n, tau), atol=1e-12)
+        np.testing.assert_allclose(got, want(n, tau), atol=atol)
 
     def test_matches_reference_simulator(self):
         rng = np.random.default_rng(21)
@@ -125,8 +115,7 @@ class TestCircuitUnitary:
         circ = Circuit(3, gates)
         np.testing.assert_allclose(circuit_unitary(circ), slow_unitary(circ), atol=1e-12)
         # column convention: column j is the circuit applied to |j>
-        state = run_circuit(circ, StateVector.basis(3, 5))
-        np.testing.assert_allclose(circuit_unitary(circ)[:, 5], state.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(circuit_unitary(circ)[:, 5], _gate_by_gate(circ, 5), atol=1e-12)
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
@@ -142,8 +131,7 @@ class TestFrameTracker:
         got = circuit_unitary(circ)
         np.testing.assert_allclose(got, slow_unitary(circ), atol=1e-12)
         for j in range(2**n):
-            state = run_circuit(circ, StateVector.basis(n, j))
-            np.testing.assert_allclose(got[:, j], state.amplitudes, atol=1e-12)
+            np.testing.assert_allclose(got[:, j], _gate_by_gate(circ, j), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_circuits(self, seed):

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from mscompile import (
-    SubspaceModel,
-    compute_thetas,
-    default_params,
-    energy_gap,
-    phase_reset_ok,
-    star_spectrum,
-)
+from mscompile import compute_thetas, default_params, phase_reset_ok
 
 
 def test_default_params():
@@ -22,29 +15,6 @@ def test_default_params_rejects_small_n():
         default_params(1)
 
 
-def test_energy_gap_values():
-    assert energy_gap(3, 0) == pytest.approx(2.0)
-    assert energy_gap(3, 1) == pytest.approx(0.0)
-    assert energy_gap(5, 4) == pytest.approx(-4.0)
-
-
-def test_energy_gap_range_check():
-    with pytest.raises(ValueError):
-        energy_gap(3, 3)
-    with pytest.raises(ValueError):
-        energy_gap(3, -1)
-
-
-def test_star_spectrum_ground_energy():
-    energies = [e for _, _, e in star_spectrum(3)]
-    assert min(energies) == pytest.approx(-1.0)  # -J(N-1)/2
-
-
-def test_star_spectrum_single_level():
-    levels = {(b0, q): e for b0, q, e in star_spectrum(4)}
-    assert levels[(0, 0)] == pytest.approx(1.5)
-
-
 def _star_diagonal_oracle(n):
     """Explicit 2^n enumeration of (J/2) * Z_0 * sum_k Z_k with unit star weights."""
     out = {}
@@ -55,22 +25,6 @@ def _star_diagonal_oracle(n):
         key = (bits[0], sum(bits[1:]))
         out.setdefault(key, set()).add(round(energy, 12))
     return out
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_star_spectrum_matches_brute_force(n):
-    oracle = _star_diagonal_oracle(n)
-    for b0, q, e in star_spectrum(n):
-        levels = oracle[(b0, q)]
-        assert len(levels) == 1
-        assert abs(next(iter(levels)) - e) < 1e-12
-
-
-def test_star_spectrum_gap_is_energy_gap():
-    for n in range(2, 8):
-        levels = {(b0, q): e for b0, q, e in star_spectrum(n)}
-        for q in range(n):
-            assert levels[(0, q)] - levels[(1, q)] == pytest.approx(energy_gap(n, q))
 
 
 def test_compute_thetas_n7():
@@ -97,21 +51,18 @@ def test_thetas_uniformly_spaced():
 
 
 def test_theta_matches_gap_construction():
-    # bitwise identity: theta_q is built as gap * tau + h
+    # bitwise identity: theta_q is built as gap * tau + h, where the gap is
+    # the target splitting of the star Hamiltonian at control weight q
     for n in range(2, 10):
+        oracle = _star_diagonal_oracle(n)
         tau, h = default_params(n)
         thetas = compute_thetas(n, tau, h)
         for q in range(n):
-            assert thetas[q] == energy_gap(n, q) * tau + h
+            (e0,), (e1,) = oracle[(0, q)], oracle[(1, q)]
+            assert thetas[q] == (e0 - e1) * tau + h
 
 
 def test_phase_reset():
     assert phase_reset_ok(3, 6, np.pi / 3)
     assert not phase_reset_ok(3, 4, np.pi / 3)
     assert phase_reset_ok(5, 20, np.pi / 5)
-
-
-def test_subspace_model_fields():
-    model = SubspaceModel.with_default_params(4)
-    assert model.tau == pytest.approx(np.pi / 4)
-    np.testing.assert_allclose(model.thetas, compute_thetas(4, np.pi / 4, -np.pi / 4))

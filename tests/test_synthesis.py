@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from _helpers import quadruple_matrix, random_admissible_series, series_from_samples
+from _helpers import pauli_components, quadruple_matrix, random_admissible_series, series_from_samples
 
 from mscompile import (
     CompilationPlan,
@@ -12,13 +12,12 @@ from mscompile import (
     evaluate_plan,
     extract_angles,
     ideal_weighted,
-    invert_plan,
     pad_for_phase_reset,
     phase_distance,
     phase_reset_ok,
     weighted_angles,
 )
-from mscompile.su2 import pauli_components, rx, rz
+from mscompile.su2 import rx, rz
 
 GRID = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
 
@@ -210,34 +209,6 @@ class TestWeightedAngles:
         alphas = np.random.default_rng(100 * n + seed).uniform(-np.pi, np.pi, size=n)
         circ = build_crot_circuit(weighted_angles(n, alphas))
         assert phase_distance(circuit_unitary(circ), ideal_weighted(n, alphas)) < 1e-9
-
-
-class TestInvertPlan:
-    def test_identity_plan_stays_identity(self):
-        plan = CompilationPlan(2, np.pi / 2, -np.pi / 2, (0.0, np.pi, 0.0, np.pi, 0.0))
-        inv = invert_plan(plan)
-        for theta in (0.3, 1.9):
-            np.testing.assert_allclose(evaluate_plan(inv.phis, theta), np.eye(2), atol=1e-13)
-
-    def test_pointwise_inverse(self):
-        rng = np.random.default_rng(16)
-        for _ in range(10):
-            phis = _random_plan(rng)
-            plan = CompilationPlan(3, np.pi / 3, -np.pi / 3, phis)
-            inv = invert_plan(plan)
-            for theta in rng.uniform(0, 2 * np.pi, 5):
-                u = evaluate_plan(plan.phis, theta)
-                v = evaluate_plan(inv.phis, theta)
-                np.testing.assert_allclose(v @ u, np.eye(2), atol=1e-12)
-
-    def test_double_inversion(self):
-        rng = np.random.default_rng(17)
-        plan = CompilationPlan(3, np.pi / 3, -np.pi / 3, _random_plan(rng))
-        back = invert_plan(invert_plan(plan))
-        for theta in rng.uniform(0, 2 * np.pi, 5):
-            np.testing.assert_allclose(
-                evaluate_plan(back.phis, theta), evaluate_plan(plan.phis, theta), atol=1e-12
-            )
 
 
 def test_plan_validation():
