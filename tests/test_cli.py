@@ -112,17 +112,17 @@ class TestCompileVerify:
         assert main(args) == 1  # 3-decimal table angles miss 1e-6
         assert main(args + ["--tolerance", "1e-2"]) == 0
 
-    @pytest.mark.parametrize("error", [FittingError, CompletionError, ExtractionError], ids=lambda e: e.__name__)
-    def test_synthesis_failure_exit_code(self, error, tmp_path, monkeypatch, capsys):
-        assert issubclass(error, SynthesisError)
+    def test_synthesis_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        for error in (FittingError, CompletionError, ExtractionError):
+            assert issubclass(error, SynthesisError), error.__name__
 
-        def boom(n, alpha):
-            raise error("forced failure")
+            def boom(n, alpha, error=error):
+                raise error("forced failure")
 
-        monkeypatch.setattr("mscompile.cli.crot_angles", boom)
-        code = main(["compile", "--kind", "crot", "--n", "3", "--alpha", "pi", "--out", str(tmp_path / "x.json")])
-        assert code == 2
-        assert "synthesis failed" in capsys.readouterr().err
+            monkeypatch.setattr("mscompile.cli.crot_angles", boom)
+            code = main(["compile", "--kind", "crot", "--n", "3", "--alpha", "pi", "--out", str(tmp_path / "x.json")])
+            assert code == 2, error.__name__
+            assert "synthesis failed" in capsys.readouterr().err, error.__name__
 
 
 class TestSeries:

@@ -40,19 +40,13 @@ def _gate_by_gate(circ, j):
     state = np.zeros(2**circ.num_qubits, dtype=complex)
     state[j] = 1.0
     for gate in circ.gates:
-        state = circuit_unitary(Circuit(circ.num_qubits, (gate,))) @ state
+        state = _apply(state, gate, circ.num_qubits)
     return state
 
 
-def _ms_one_qubit(n, tau):
-    """One qubit: (X)^2 = 1, so the pulse is the global phase exp(-i*tau/4)."""
-    return np.exp(-0.25j * tau) * np.eye(2)
-
-
-def _ms_two_qubits(n, tau):
-    """Two qubits: (X1 + X2)^2 = 2 + 2 X1 X2."""
-    xx = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
-    return np.exp(-0.5j * tau) * (np.cos(tau / 2) * np.eye(4) - 1j * np.sin(tau / 2) * xx)
+def _apply(state, gate, n):
+    """One gate applied to a state vector through its circuit_unitary."""
+    return circuit_unitary(Circuit(n, (gate,))) @ state
 
 
 # Hand-built 3-qubit cases for the Hadamard frame and the fused pending gates
@@ -80,6 +74,33 @@ FRAME_CASES = {
 }
 
 
+class TestApplyGate:
+    def test_hadamard_on_zero(self):
+        state = _apply(np.array([1.0, 0.0]), Gate.h(0), 1)
+        np.testing.assert_allclose(state, [1 / np.sqrt(2)] * 2, atol=1e-15)
+
+    def test_ms_single_qubit_is_global_phase(self):
+        tau = 0.9
+        state = _apply(np.array([0, 1.0]), Gate.ms(tau), 1)
+        want = np.exp(-0.25j * tau) * np.array([0, 1.0])
+        np.testing.assert_allclose(state, want, atol=1e-14)
+
+    def test_ms_two_qubits_closed_form(self):
+        tau = 1.234
+        got = circuit_unitary(Circuit(2, (Gate.ms(tau),)))
+        xx = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
+        want = np.exp(-0.5j * tau) * (np.cos(tau / 2) * np.eye(4) - 1j * np.sin(tau / 2) * xx)
+        np.testing.assert_allclose(got, want, atol=1e-13)
+
+    def test_norm_preserved(self):
+        rng = np.random.default_rng(20)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        state = amps / np.linalg.norm(amps)
+        for gate in (Gate.ms(0.41), Gate.h(1), Gate.rx(2, 0.3), Gate.rz(0, -1.2), Gate.ry(1, 2.2)):
+            state = _apply(state, gate, 3)
+            assert abs(np.linalg.norm(state) - 1) < 1e-12
+
+
 class TestCircuitUnitary:
     def test_empty_circuit(self):
         np.testing.assert_array_equal(circuit_unitary(Circuit(2, ())), np.eye(4))
@@ -88,17 +109,11 @@ class TestCircuitUnitary:
         got = circuit_unitary(Circuit(1, (Gate.h(0),)))
         np.testing.assert_allclose(got, np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-15)
 
-    @pytest.mark.parametrize(
-        "n,tau,want,atol",
-        [pytest.param(n, 0.7318, dense_ms, 1e-12, id=str(n)) for n in (1, 2, 3, 4)]
-        + [
-            pytest.param(1, 0.9, _ms_one_qubit, 1e-14, id="1-global-phase"),
-            pytest.param(2, 1.234, _ms_two_qubits, 1e-13, id="2-closed-form"),
-        ],
-    )
-    def test_ms_matches_dense_exponential(self, n, tau, want, atol):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ms_matches_dense_exponential(self, n):
+        tau = 0.7318
         got = circuit_unitary(Circuit(n, (Gate.ms(tau),)))
-        np.testing.assert_allclose(got, want(n, tau), atol=atol)
+        np.testing.assert_allclose(got, dense_ms(n, tau), atol=1e-12)
 
     def test_matches_reference_simulator(self):
         rng = np.random.default_rng(21)
