@@ -8,6 +8,7 @@ Circuits are immutable; builders return fresh objects.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +59,10 @@ class Gate:
         else:
             raise UnknownGateError(f"unknown gate kind {self.kind!r}")
         if self.angle is not None:
-            object.__setattr__(self, "angle", float(self.angle))
+            angle = float(self.angle)
+            if not math.isfinite(angle):
+                raise ValueError(f"{self.kind} angle must be finite, got {angle}")
+            object.__setattr__(self, "angle", angle)
 
     @classmethod
     def ms(cls, tau: float) -> Gate:

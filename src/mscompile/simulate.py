@@ -9,15 +9,26 @@ exp(-i*tau*(N-2m)^2/4).  Application is therefore Hadamard-all, a diagonal
 phase by Hamming weight, Hadamard-all; the j = k self-terms of the double
 sum are kept, contributing a global phase per pulse.
 
-``circuit_unitary`` simulates any gate list literally, but it defers the
-work it can fold together.  It keeps a per-qubit Hadamard frame (qubit q's
-rows are held in the X basis iff its flag is set) and a pending 2x2 per
-qubit, so an ``H`` gate costs nothing, a run of single-qubit gates on one
-qubit costs one pass over the matrix, and a pulse only rotates the qubits
-not yet in the X frame.  A pass is a single batched 2x2 matmul.
+``circuit_unitary`` simulates any gate list literally, in two passes.  The
+frame pass keeps a per-qubit Hadamard frame (qubit q's rows are held in the
+X basis iff its flag is set) and a pending 2x2 per qubit, so an ``H`` gate
+costs nothing, a run of single-qubit gates on one qubit fuses into one 2x2,
+and a pulse only rotates the qubits not yet in the X frame.  It lists the
+fused operations in time order: 2x2s on one qubit each, and pulses.
+
+Pulses are diagonal, so only the qubits that some fused 2x2 acts on (the k
+active qubits) ever mix basis states: the unitary is block diagonal, one
+2^k x 2^k block per pattern of the N - k inactive bits.  The executor holds
+only those blocks, applies each 2x2 as one matmul across all of them and
+each pulse as a phase per block row, and writes the dense matrix once at
+the end.  A pulse train leaves only its target active (k = 1; a Toffoli
+train, qubit 0 and the ancilla), so an operation costs O(2^N) instead of
+O(4^N); with every qubit active this is the plain dense simulation.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,14 +38,52 @@ from .su2 import HADAMARD, rx, ry, rz
 MAX_UNITARY_QUBITS = 14
 
 
-def _apply_single(amps: np.ndarray, u2: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply a 2x2 gate on one qubit of the row index of amps, in one pass."""
-    return np.matmul(u2, amps.reshape(2 ** (n - 1 - qubit), 2, -1)).reshape(amps.shape)
+def _deposit(values: np.ndarray, qubits) -> np.ndarray:
+    """Spread bit b of each value to bit qubits[b] of a basis index."""
+    out = np.zeros_like(values)
+    for bit, q in enumerate(qubits):
+        out |= ((values >> bit) & 1) << q
+    return out
 
 
-def _ms_phases(n: int, tau: float) -> np.ndarray:
-    weight = np.bitwise_count(np.arange(2**n, dtype=np.uint64)).astype(float)
-    return np.exp(-0.25j * tau * (n - 2.0 * weight) ** 2)
+def _blocks(n: int, active: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Fancy index of every inactive pattern's block over the active qubits.
+
+    ``u[_blocks(n, active)]`` has shape (2^(n-k), 2^k, 2^k) for k active
+    qubits.  Entry [c, a, b] is the element whose row has inactive bits c and
+    active bits a, and whose column has inactive bits c and active bits b,
+    each read in ascending qubit order.  With one active qubit (the target)
+    entry c is the 2x2 block of control pattern c, the basis index with the
+    target bit squeezed out; its rows and columns have the target bit 0,
+    then 1.
+    """
+    inactive = [q for q in range(n) if q not in active]
+    idx = (
+        _deposit(np.arange(2 ** len(inactive)), inactive)[:, None]
+        | _deposit(np.arange(2 ** len(active)), active)[None, :]
+    )
+    return idx[:, :, None], idx[:, None, :]
+
+
+@lru_cache(maxsize=32)
+def _store_layout(n: int, active: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fancy index of the block store, and (n - 2w)^2 for the Hamming weight
+    w of each store row.
+
+    The store is ``u[_blocks(n, active)]`` with its first two axes swapped,
+    shape (2^k, 2^(n-k), 2^k), so that the row bits lead.  Cached per
+    (n, active) and read-only, since every call shares them.
+    """
+    rows, cols = (a.swapaxes(0, 1) for a in _blocks(n, active))
+    spin_sq = (n - 2.0 * np.bitwise_count(rows)) ** 2
+    for a in (rows, cols, spin_sq):
+        a.flags.writeable = False
+    return rows, cols, spin_sq
+
+
+def _apply_single(store: np.ndarray, u2: np.ndarray, bit: int) -> np.ndarray:
+    """Apply a 2x2 to bit ``bit`` of the leading (row) axis of store, in one pass."""
+    return np.matmul(u2, store.reshape(len(store) >> (bit + 1), 2, -1)).reshape(store.shape)
 
 
 def _gate_matrix(gate: Gate) -> np.ndarray:
@@ -49,49 +98,41 @@ def _gate_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"no matrix for gate kind {gate.kind!r}")
 
 
-def _flush(mat: np.ndarray, frame: list[bool], pending: list, x_frame: bool) -> np.ndarray:
-    """Apply every pending 2x2, moving each qubit into (or out of) the X frame.
+def _flush(ops: list, frame: list[bool], pending: list, x_frame: bool) -> None:
+    """Append (qubit, 2x2) for every pending 2x2, moving each qubit into (or
+    out of) the X frame.
 
-    Afterwards mat is the whole accumulated unitary with every qubit's rows in
+    Once ops is applied, the accumulated unitary has every qubit's rows in
     the X basis (x_frame) or the computational basis (not x_frame).
     """
-    n = len(frame)
-    for q in range(n):
+    for q in range(len(frame)):
         u2 = pending[q]
         if frame[q] != x_frame:
             u2 = HADAMARD if u2 is None else HADAMARD @ u2
         if u2 is not None:
-            mat = _apply_single(mat, u2, q, n)
+            ops.append((q, u2))
         frame[q], pending[q] = x_frame, None
-    return mat
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full unitary; column j is the circuit applied to basis state |j>.
+def _fused_ops(circuit: Circuit) -> list:
+    """Frame pass: (qubit, 2x2) per fused gate and (None, tau) per pulse, in order.
 
-    The accumulated unitary is held as U = (prod_q H_q^f_q P_q) M: a matrix
-    M, a Hadamard-frame flag f_q and a pending 2x2 P_q (in the frame basis)
-    per qubit.  An ``H`` gate on q only flips f_q.  A rotation g on q is
-    fused into P_q, conjugated as H g H when f_q is set.  A pulse first
-    applies H^(1 - f_q) P_q to each qubit where that is not the identity
-    (for a controlled-rotation train: the target alone), then multiplies M
-    by its phase diagonal in place, leaving every qubit in the X frame.  The
-    end applies H^f_q P_q the same way.
+    The accumulated unitary is held as U = (prod_q H_q^f_q P_q) M: a
+    Hadamard-frame flag f_q and a pending 2x2 P_q (in the frame basis) per
+    qubit, and M, the operations listed so far.  An ``H`` gate on q only
+    flips f_q.  A rotation g on q is fused into P_q, conjugated as H g H
+    when f_q is set.  A pulse first lists H^(1 - f_q) P_q for each qubit
+    where that is not the identity (for a controlled-rotation train: the
+    target alone), then itself, leaving every qubit in the X frame.  The
+    end lists H^f_q P_q the same way.
     """
-    n = circuit.num_qubits
-    if n > MAX_UNITARY_QUBITS:
-        raise ValueError(f"refusing to build a 2^{n} x 2^{n} unitary (limit {MAX_UNITARY_QUBITS})")
-    mat = np.eye(2**n, dtype=complex)
-    frame = [False] * n
-    pending: list[np.ndarray | None] = [None] * n  # None stands for the identity
-    phase_cache: dict[float, np.ndarray] = {}
+    ops: list[tuple[int | None, np.ndarray | float]] = []
+    frame = [False] * circuit.num_qubits
+    pending: list[np.ndarray | None] = [None] * circuit.num_qubits  # None stands for the identity
     for gate in circuit.gates:
         if gate.kind == MS:
-            mat = _flush(mat, frame, pending, x_frame=True)
-            tau = gate.angle
-            if tau not in phase_cache:
-                phase_cache[tau] = _ms_phases(n, tau)[:, None]
-            mat *= phase_cache[tau]
+            _flush(ops, frame, pending, x_frame=True)
+            ops.append((None, gate.angle))
         elif gate.kind == H:
             frame[gate.qubit] = not frame[gate.qubit]
         else:
@@ -100,20 +141,41 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
             if frame[q]:
                 u2 = HADAMARD @ u2 @ HADAMARD
             pending[q] = u2 if pending[q] is None else u2 @ pending[q]
-    return _flush(mat, frame, pending, x_frame=False)
+    _flush(ops, frame, pending, x_frame=False)
+    return ops
 
 
-def _target_blocks(n: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fancy index of every control pattern's 2x2 block on the target.
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Full unitary; column j is the circuit applied to basis state |j>.
 
-    ``u[_target_blocks(n, target)]`` has shape (2^(n-1), 2, 2).  Entry c is
-    the block of control pattern c, the basis index with the target bit
-    squeezed out; its rows and columns have the target bit 0, then 1.
+    The fused operations of the frame pass are applied to a block store.
+    With A the qubits some fused 2x2 acts on (k = |A|), U[i, j] is zero
+    unless i and j agree on every bit outside A, so U is held as an array
+    of shape (2^k, 2^(N-k), 2^k): entry [a, c, b] is U[i, j] for the row i
+    with active bits a and the column j with active bits b, both with
+    inactive bits c (see ``_blocks``).  A 2x2 on qubit A[p] is one
+    matmul on bit p of the leading axis; a pulse multiplies each row by its
+    phase, a function of the Hamming weight of the row's basis index.  The
+    store is scattered into the dense 2^N x 2^N result once, at the end.
     """
-    ctrl = np.arange(2 ** (n - 1))
-    i0 = ((ctrl >> target) << (target + 1)) | (ctrl & ((1 << target) - 1))
-    pair = np.stack([i0, i0 | (1 << target)], axis=1)
-    return pair[:, :, None], pair[:, None, :]
+    n = circuit.num_qubits
+    if n > MAX_UNITARY_QUBITS:
+        raise ValueError(f"refusing to build a 2^{n} x 2^{n} unitary (limit {MAX_UNITARY_QUBITS})")
+    ops = _fused_ops(circuit)
+    active = sorted({q for q, _ in ops if q is not None})
+    rows, cols, spin_sq = _store_layout(n, tuple(active))
+    store = np.eye(2 ** len(active), dtype=complex)[:, None, :].repeat(cols.shape[1], axis=1)
+    phases: dict[float, np.ndarray] = {}
+    for q, op in ops:
+        if q is None:
+            if op not in phases:
+                phases[op] = np.exp(-0.25j * op * spin_sq)
+            store *= phases[op]
+        else:
+            store = _apply_single(store, op, active.index(q))
+    mat = np.zeros((2**n, 2**n), dtype=complex)
+    mat[rows, cols] = store
+    return mat
 
 
 def ideal_crot(n: int, alpha: float, target: int = 0) -> np.ndarray:
@@ -149,16 +211,19 @@ def ideal_weighted(n: int, alphas, target: int = 0) -> np.ndarray:
         raise ValueError(f"need {n} angles, got {len(alphas)}")
     weights = np.bitwise_count(np.arange(2 ** (n - 1)))
     u = np.zeros((2**n, 2**n), dtype=complex)
-    u[_target_blocks(n, target)] = np.array([rx(a) for a in alphas])[weights]
+    u[_blocks(n, (target,))] = np.array([rx(a) for a in alphas])[weights]
     return u
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - |tr(U^dag V)| / dim: zero iff U and V agree up to a global phase."""
+    """1 - |tr(U^dag V)| / dim: zero iff U and V agree up to a global phase.
+
+    NaN when either matrix holds a NaN, so it never meets a tolerance.
+    """
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
     dim = u.shape[0]
-    return max(0.0, 1.0 - abs(np.vdot(u, v)) / dim)
+    return float(np.maximum(0.0, 1.0 - abs(np.vdot(u, v)) / dim))
 
 
 def project_ancilla(u: np.ndarray, ancilla: int, bit: int) -> tuple[np.ndarray, float]:
@@ -176,11 +241,11 @@ def project_ancilla(u: np.ndarray, ancilla: int, bit: int) -> tuple[np.ndarray, 
 
 def control_blocks(u: np.ndarray, target: int = 0):
     """Iterate (control_pattern, 2x2 target block) over all control states."""
-    yield from enumerate(u[_target_blocks(u.shape[0].bit_length() - 1, target)])
+    yield from enumerate(u[_blocks(u.shape[0].bit_length() - 1, (target,))])
 
 
 def max_off_block(u: np.ndarray, target: int = 0) -> float:
     """Largest matrix element connecting different control bitstrings."""
     off = np.abs(u)
-    off[_target_blocks(u.shape[0].bit_length() - 1, target)] = 0.0
+    off[_blocks(u.shape[0].bit_length() - 1, (target,))] = 0.0
     return float(np.max(off))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,26 @@ class TestCompileVerify:
         code = main(["verify", "--circuit", str(path), "--target", "crot", "--n", "3", "--alpha", "pi"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            {"type": "RZ", "qubit": 0, "angle": float("nan")},
+            {"type": "RZ", "qubit": 0, "angle": float("inf")},
+            {"type": "MS", "tau": float("nan")},
+        ],
+        ids=["rz_nan", "rz_infinity", "ms_nan"],
+    )
+    def test_non_finite_angle_is_rejected(self, tmp_path, capsys, gate):
+        # json.dumps writes NaN / Infinity, which json.loads accepts back
+        doc = {"version": 1, "num_qubits": 3, "gates": [gate]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", "--circuit", str(path), "--target", "crot", "--n", "3", "--alpha", "0"])
+        assert code == 64
+        captured = capsys.readouterr()
+        assert "cannot load circuit" in captured.err
+        assert "PASS" not in captured.out
 
     def test_tolerance_override(self, tmp_path, capsys):
         row = [-1.855, -2.118, -0.525, -2.118, -1.855, -PI, 0.0]

@@ -6,6 +6,7 @@ from mscompile import (
     Circuit,
     Gate,
     build_crot_circuit,
+    build_toffoli_circuit,
     circuit_unitary,
     control_blocks,
     crot_angles,
@@ -15,7 +16,9 @@ from mscompile import (
     max_off_block,
     phase_distance,
     project_ancilla,
+    weighted_angles,
 )
+from mscompile.simulate import _fused_ops
 from mscompile.su2 import rx, rz
 
 PI = np.pi
@@ -158,6 +161,54 @@ class TestFrameTracker:
         self._check(Circuit(3, tuple(FRAME_CASES[case])))
 
 
+def _with_control_rx(circ, qubit):
+    """The train with one RX on a control inserted after its middle pulse."""
+    gates = list(circ.gates)
+    pulses = [i for i, g in enumerate(gates) if g.kind == "MS"]
+    mid = pulses[len(pulses) // 2] + 1
+    gates.insert(mid, Gate.rx(qubit, 0.45))
+    return Circuit(circ.num_qubits, tuple(gates), target_qubit=circ.target_qubit)
+
+
+def _sandwich(n, middle):
+    """H on every qubit that ``middle`` leaves alone, around ``middle``."""
+    hs = tuple(Gate.h(q) for q in range(n) if all(g.qubit != q for g in middle))
+    return Circuit(n, (*hs, *middle, *hs))
+
+
+# name -> (circuit builder, qubits the fused 2x2s act on)
+BLOCK_CASES = {
+    "crot_target_1": (lambda: build_crot_circuit(crot_angles(3, 0.7), target=1), [1]),
+    "crot_target_2": (lambda: build_crot_circuit(crot_angles(4, -2.1), target=2), [2]),
+    "weighted_target_1": (lambda: build_crot_circuit(weighted_angles(3, (0.4, -1.1, 2.0)), target=1), [1]),
+    "weighted_target_2": (lambda: build_crot_circuit(weighted_angles(4, (0.3, 1.2, -0.8, 2.5)), target=2), [2]),
+    "toffoli_3": (lambda: build_toffoli_circuit(3), [0, 3]),
+    "toffoli_4": (lambda: build_toffoli_circuit(4), [0, 4]),
+    "hadamard_sandwich": (lambda: _sandwich(3, [Gate.ms(0.9)]), []),
+    "control_rx_mid_train": (lambda: _with_control_rx(build_crot_circuit(crot_angles(4, 1.3)), 2), [0, 2]),
+    # generic, non-symmetric blocks, so a transposed store shows
+    "target_rotations": (
+        lambda: _sandwich(4, [Gate.ry(1, 0.8), Gate.ms(0.7), Gate.rz(1, -1.9), Gate.rx(1, 0.6), Gate.ms(-1.3), Gate.ry(1, 2.2)]),
+        [1],
+    ),
+    "two_qubit_rotations": (
+        lambda: _sandwich(4, [Gate.ry(3, 0.5), Gate.rx(1, -0.9), Gate.ms(1.1), Gate.rz(3, 0.4), Gate.ry(1, 1.7), Gate.ms(0.3)]),
+        [1, 3],
+    ),
+}
+
+
+class TestBlockStore:
+    """circuit_unitary on circuits whose fused 2x2s touch only some qubits."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_matches_reference(self, case):
+        build, active = BLOCK_CASES[case]
+        circ = build()
+        assert sorted({q for q, _ in _fused_ops(circ) if q is not None}) == active
+        np.testing.assert_allclose(circuit_unitary(circ), slow_unitary(circ), atol=1e-12)
+
+
 class TestIdealUnitaries:
     def test_crot_identity_angle(self):
         np.testing.assert_array_equal(ideal_crot(3, 0.0), np.eye(8))
@@ -192,6 +243,13 @@ class TestIdealUnitaries:
 
 
 class TestPhaseDistance:
+    def test_nan_is_not_clamped(self):
+        u = np.eye(4, dtype=complex)
+        v = u.copy()
+        v[2, 2] = np.nan
+        assert np.isnan(phase_distance(u, v))
+        assert not phase_distance(u, v) <= 1e-6
+
     def test_equal(self):
         u = circuit_unitary(Circuit(2, (Gate.h(0), Gate.ms(0.3))))
         assert phase_distance(u, u) == pytest.approx(0.0, abs=1e-15)
