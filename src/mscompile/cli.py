@@ -45,7 +45,7 @@ def parse_angle(text: str) -> float:
     """Parse '0.3', 'pi', '-pi', '2pi', 'pi/2', '3pi/4', '2*pi/3' into radians."""
     s = text.strip().lower().replace(" ", "").replace("*", "")
     sign = 1.0
-    if s[:1] in "+-":
+    if s.startswith(("+", "-")):
         sign = -1.0 if s[0] == "-" else 1.0
         s = s[1:]
     try:
@@ -55,10 +55,16 @@ def parse_angle(text: str) -> float:
             if rest:
                 if not rest.startswith("/"):
                     raise ValueError
-                value /= float(rest[1:])
-            return sign * value
-        return sign * float(s)
-    except ValueError:
+                divisor = float(rest[1:])
+                if not math.isfinite(divisor):
+                    raise ValueError
+                value /= divisor
+        else:
+            value = float(s)
+        if not math.isfinite(value):
+            raise ValueError
+        return sign * value
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from None
 
 

@@ -36,8 +36,9 @@ class TestParseAngle:
     def test_rejects_garbage(self):
         import argparse
 
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_angle("two pies")
+        for text in ("two pies", "", "-", "nan", "inf", "-inf", "nanpi", "1e400", "pi/0", "pi/inf", "pix"):
+            with pytest.raises(argparse.ArgumentTypeError, match="cannot parse angle"):
+                parse_angle(text)
 
 
 class TestCrotAngles:
@@ -199,8 +200,20 @@ class TestUsageErrors:
     def test_missing_required(self):
         assert main(["crot-angles", "--n", "3"]) == 64
 
-    def test_bad_angle(self):
-        assert main(["crot-angles", "--n", "3", "--alpha", "nonsense"]) == 64
+    def test_bad_angle(self, tmp_path, capsys):
+        out = str(tmp_path / "c.json")
+        for args in (
+            ["crot-angles", "--n", "3", "--alpha", "nonsense"],
+            ["crot-angles", "--n", "3", "--alpha", ""],
+            ["compile", "--kind", "crot", "--n", "3", "--alpha", "nan", "--out", out],
+            ["compile", "--kind", "crot", "--n", "3", "--alpha", "inf", "--out", out],
+            ["compile", "--kind", "crot", "--n", "3", "--alpha", "-inf", "--out", out],
+            ["compile", "--kind", "crot", "--n", "3", "--alpha", "nanpi", "--out", out],
+            ["compile", "--kind", "weighted", "--n", "3", "--alphas", "0.1,,0.2", "--out", out],
+            ["compile", "--kind", "weighted", "--n", "3", "--alphas", "0.1,nan,0.2", "--out", out],
+        ):
+            assert main(args) == 64, args
+            assert "cannot parse angle" in capsys.readouterr().err, args
 
     def test_small_n(self):
         assert main(["crot-angles", "--n", "1", "--alpha", "pi"]) == 64

@@ -18,6 +18,7 @@ from mscompile import (
     weighted_angles,
 )
 from mscompile.su2 import rx, rz
+from mscompile.synthesis import _norm_2x2
 
 GRID = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
 
@@ -109,6 +110,14 @@ class TestExtractAngles:
         np.testing.assert_allclose(phis, (0.0, 0.0, 0.0), atol=1e-9)
         theta = 0.83
         np.testing.assert_allclose(evaluate_plan(phis, theta), rx(2 * theta), atol=1e-12)
+
+    def test_nan_quadruple_is_an_extraction_error(self):
+        from mscompile import ExtractionError
+
+        a = TrigSeries.even((np.nan, 0.5))
+        z = TrigSeries.zero
+        with pytest.raises(ExtractionError, match="nan"):
+            extract_angles(a, z("odd", 1), z("odd", 1), z("even", 1), 1)
 
     def test_crot_n3_length_before_padding(self):
         from mscompile import fit_A
@@ -233,3 +242,33 @@ def test_extraction_matches_quadruple_on_grid():
                 evaluate_plan(phis, theta) - quadruple_matrix(a, b, c, d, theta), ord=2
             )
             assert err < 1e-9
+    # fitted crot quadruples: peels of L = 30..62, off the library's own grid
+    from mscompile import fit_A
+
+    for n in (16, 24, 32):
+        alpha = rng.uniform(-2 * np.pi, 2 * np.pi)
+        a, b = fit_A(n, alpha), TrigSeries.zero("odd")
+        c, d = complete(a, b, +1)
+        phis = extract_angles(a, b, c, d, n - 1)
+        assert len(phis) == 2 * n - 1
+        for theta in rng.uniform(0, 2 * np.pi, 16):
+            err = np.linalg.norm(
+                evaluate_plan(phis, theta) - quadruple_matrix(a, b, c, d, theta), ord=2
+            )
+            assert err < 1e-9, (n, alpha, theta, err)
+
+
+def test_norm_2x2_matches_lapack():
+    rng = np.random.default_rng(19)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    rank_one = np.einsum("ki,kj->kij", cplx(50, 2), cplx(50, 2).conj())
+    unitary = np.stack([evaluate_plan(_random_plan(rng), t) for t in rng.uniform(0, 7, 50)])
+    phased = np.exp(1j * rng.uniform(0, 7, (50, 1, 1))) * unitary
+    for mats in (cplx(200, 2, 2), rank_one, unitary, phased, np.zeros((1, 2, 2))):
+        for scale in (1.0, 1e-15, 1e3):
+            m = scale * mats
+            want = np.linalg.norm(m, ord=2, axis=(-2, -1))
+            np.testing.assert_allclose(_norm_2x2(m), want, rtol=1e-12, atol=0)
