@@ -112,34 +112,9 @@ class LaurentPoly:
     def degree(self) -> int:
         return (self.coeffs.size - 1) // 2
 
-    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        return LaurentPoly(np.convolve(self.coeffs, other.coeffs))
-
-    def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        m = max(self.degree, other.degree)
-        out = np.zeros(2 * m + 1, dtype=complex)
-        out[m - self.degree : m + self.degree + 1] += self.coeffs
-        out[m - other.degree : m + other.degree + 1] += other.coeffs
-        return LaurentPoly(out)
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(-self.coeffs)
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + (-other)
-
 
 def to_laurent(s: TrigSeries) -> LaurentPoly:
     """Laurent form of a trig series on the unit circle."""
-    m = s.degree
-    out = np.zeros(2 * m + 1, dtype=complex)
-    for k, c in enumerate(s.coeffs):
-        if k == 0:
-            out[m] += c
-        elif s.parity == EVEN:
-            out[m + k] += c / 2.0
-            out[m - k] += c / 2.0
-        else:
-            out[m + k] += c / 2.0j
-            out[m - k] -= c / 2.0j
-    return LaurentPoly(out)
+    half = np.asarray(s.coeffs[1:], dtype=complex) / (2.0 if s.parity == EVEN else 2.0j)
+    mirror = half if s.parity == EVEN else -half
+    return LaurentPoly(np.concatenate([mirror[::-1], [s.coeffs[0]], half]))

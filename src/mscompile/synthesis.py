@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import EVEN, ODD, LaurentPoly, SynthesisError, TrigSeries, to_laurent
+from .series import EVEN, ODD, SynthesisError, TrigSeries, to_laurent
 from .fitting import fit_A, fit_weight_dependent, weighted_params
 from .su2 import canonical_angle, rx, rz
 from .subspace import default_params, phase_reset_ok
@@ -27,6 +27,7 @@ log = logging.getLogger(__name__)
 
 NORMALIZATION_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
+MAX_GRID = 2**16
 
 
 class CompletionError(SynthesisError):
@@ -75,41 +76,14 @@ def evaluate_plan(phis, theta: float) -> np.ndarray:
     return u
 
 
-def _quadruple_matrices(a, b, c, d, thetas):
-    """Stack of A*1 + i(B*X + C*Y + D*Z) matrices on a theta grid."""
-    av, bv, cv, dv = (s.evaluate(thetas) for s in (a, b, c, d))
-    out = np.empty((len(thetas), 2, 2), dtype=complex)
+def _su2_stack(av, bv, cv, dv) -> np.ndarray:
+    """Stack of A*1 + i(B*X + C*Y + D*Z) from four equal-length value arrays."""
+    out = np.empty((len(av), 2, 2), dtype=complex)
     out[:, 0, 0] = av + 1j * dv
     out[:, 1, 1] = av - 1j * dv
     out[:, 0, 1] = 1j * bv + cv
     out[:, 1, 0] = 1j * bv - cv
     return out
-
-
-def _select_factor_roots(roots: np.ndarray) -> list[complex]:
-    """Pick one root from each reciprocal pair (r, 1/conj(r)) of P.
-
-    Off-circle pairs contribute their inside member.  A double root on the
-    circle comes back from the eigensolver as a close pair straddling
-    |z| = 1 (split by ~sqrt(machine eps)); it contributes one copy,
-    projected back onto the circle.
-    """
-    remaining = sorted((complex(r) for r in roots), key=abs)
-    selected: list[complex] = []
-    while remaining:
-        r = remaining.pop(0)
-        want = 1.0 / np.conj(r)
-        dists = [abs(x - want) for x in remaining]
-        i = int(np.argmin(dists))
-        if dists[i] > 1e-2 * (1.0 + abs(want)):
-            raise CompletionError(f"root {r:.6f} has no reciprocal partner")
-        partner = remaining.pop(i)
-        if abs(r - partner) < 1e-4:
-            rep = 0.5 * (r + partner)
-            selected.append(rep / abs(rep))
-        else:
-            selected.append(r if abs(r) < abs(partner) else partner)
-    return selected
 
 
 def _refine_completion(a, b, c_coeffs, d_coeffs, degree):
@@ -140,12 +114,106 @@ def _refine_completion(a, b, c_coeffs, d_coeffs, degree):
     return c_coeffs, d_coeffs
 
 
+def _grid(m: int) -> np.ndarray:
+    """The half-step circle grid theta_j = 2*pi*(j + 1/2)/m."""
+    return 2.0 * np.pi * (np.arange(m) + 0.5) / m
+
+
+def _samples(coeffs, freqs: np.ndarray, m: int) -> np.ndarray:
+    """sum_k coeffs[k] * exp(i*freqs[k]*theta) on the half-step grid (|freqs| < m/2)."""
+    spec = np.zeros(m, dtype=complex)
+    spec[freqs % m] = coeffs * np.exp(1j * np.pi * freqs / m)
+    return m * np.fft.ifft(spec)
+
+
+def _coefficients(values: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Fourier coefficients at freqs of samples on the half-step grid."""
+    m = values.size
+    return np.fft.fft(values)[freqs % m] * np.exp(-1j * np.pi * freqs / m) / m
+
+
+def _near_zeros(p: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
+    """Roots of P = 1 - A^2 - B^2 on and near the unit circle, |z| <= 1.
+
+    p holds P on the half-step grid and p_hat its Laurent coefficients
+    0..span.  Newton on P' = 0 starts at every local minimum of the samples.
+    A minimum at t with P(t) <= 1e-12 is a double zero z = exp(i*t) on the
+    circle (the pins, and pi at alpha = +-2*pi).  Above that, complex Newton
+    on P = 0 finds the nearby root pair z, 1/conj(z); the inside one is kept.
+    """
+    k = np.arange(p_hat.size)
+    cos_coeffs = np.where(k > 0, 2.0, 1.0) * p_hat
+
+    def taylor(t):
+        """P, P' and P'' at t (real or complex)."""
+        kt = np.multiply.outer(t, k)
+        cos, sin = np.cos(kt), np.sin(kt)
+        return cos @ cos_coeffs, -(sin * k) @ cos_coeffs, -(cos * k**2) @ cos_coeffs
+
+    def newton(t, order):
+        """Zeros of P (order 0) or of P' (order 1), from starts t."""
+        for _ in range(12):
+            values = taylor(t)
+            step = values[order] / values[order + 1]
+            t = t - step
+            if np.all(np.abs(step) <= 1e-12):
+                break
+        return t
+
+    starts = (p < np.roll(p, 1)) & (p <= np.roll(p, -1))
+    with np.errstate(all="ignore"):  # starts that diverge are dropped below
+        t = newton(_grid(p.size)[starts], 1)
+        depth, _, curvature = taylor(t)
+        t, depth, curvature = t[curvature > 0], depth[curvature > 0], curvature[curvature > 0]
+        near = depth > 1e-12
+        w = newton(t[near] + 1j * np.sqrt(2.0 * depth[near] / curvature[near]), 0)
+        w = w[np.abs(taylor(w)[0]) <= 1e-12]
+    roots = np.exp(1j * np.concatenate([t[~near], w.real + 1j * np.abs(w.imag)]))
+    # two starts can converge to one root
+    close = np.abs(roots[:, None] - roots[None, :]) < 1e-6
+    return roots[~np.any(np.tril(close, -1), axis=1)]
+
+
+def _deflation(roots: np.ndarray, m: int) -> np.ndarray:
+    """prod_r (1 - r/z) on the half-step grid, z = exp(i*theta).
+
+    Kept as samples: expanding the product into coefficients cancels
+    catastrophically once many roots share one half of the circle.
+    """
+    inv_z = np.exp(-1j * _grid(m))
+    out = np.ones(m, dtype=complex)
+    for r in roots:
+        out *= 1.0 - r * inv_z
+    return out
+
+
+def _factor(q: np.ndarray, deflation: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Coefficients lo..hi of eta with |eta|^2 = Q * |deflation|^2 on the circle.
+
+    Works on the grid of the deflation samples.  Q (cosine coefficients q)
+    is factored by its real cepstrum into the minimum-phase H (analytic in
+    1/z, H(inf) > 0), and eta = z^hi * H * deflation.
+    """
+    m = deflation.size
+    half = np.arange(m // 2)
+    qv = _samples(q, np.arange(q.size), m).real
+    cep = _coefficients(np.log(np.maximum(qv, 1e-30 * np.max(qv))), half).real
+    cep[0] *= 0.5
+    values = np.exp(_samples(cep, -half, m) + 1j * hi * _grid(m)) * deflation
+    return _coefficients(values, np.arange(lo, hi + 1)).real
+
+
 def complete(a: TrigSeries, b: TrigSeries, d_sign_at_pi: int) -> tuple[TrigSeries, TrigSeries]:
     """Find odd C and even D with A^2 + B^2 + C^2 + D^2 = 1 on the circle.
 
-    Factorizes P(z) = 1 - A(z)^2 - B(z)^2 (non-negative on |z| = 1) as
-    g(z) * g(1/z) with real g; C and D are the odd/even parts of g.  The
-    sign of D(pi), when nonzero, is flipped (together with C) to match
+    Factorizes P = 1 - A^2 - B^2 >= 0 as |eta|^2 with real eta on m =
+    2^ceil(log2(64*(degree + 1))) circle samples; m is a power of two, so
+    no crot or weighted pin lands on the half-step grid.  The roots of P on
+    and near the circle are deflated, the quotient is fitted by least
+    squares and factored by its real cepstrum, and one FFT of the product
+    gives eta, whose odd/even parts are C and D (polished by Gauss-Newton).
+    A normalization miss over 1e-10 refactors once on MAX_GRID samples.
+    The sign of D(pi), when nonzero, is flipped (together with C) to match
     d_sign_at_pi; that flip maps realizable quadruples to realizable ones.
     """
     if a.parity != EVEN or b.parity != ODD:
@@ -153,103 +221,56 @@ def complete(a: TrigSeries, b: TrigSeries, d_sign_at_pi: int) -> tuple[TrigSerie
     if d_sign_at_pi not in (+1, -1):
         raise ValueError("d_sign_at_pi must be +1 or -1")
     degree = max(a.degree, b.degree)
+    ks = np.arange(degree + 1)
 
-    probe = np.linspace(0.0, 2.0 * np.pi, max(16 * (degree + 1), 64), endpoint=False)
-    overshoot = float(np.max(a.evaluate(probe) ** 2 + b.evaluate(probe) ** 2)) - 1.0
-    if overshoot > 1e-9:
+    m = 1 << int(np.ceil(np.log2(64 * (degree + 1))))
+    p = 1.0 - _samples(a.coeffs, ks[: a.degree + 1], m).real ** 2
+    p -= _samples(b.coeffs, ks[: b.degree + 1], m).imag ** 2
+    overshoot = -float(np.min(p))
+    if not overshoot <= 1e-9:  # a NaN fails too
         raise CompletionError(f"A^2 + B^2 exceeds 1 by {overshoot:.3e}; nothing to factorize")
 
-    la, lb = to_laurent(a), to_laurent(b)
-    one = LaurentPoly(np.array([1.0 + 0.0j]))
-    p = one - la * la - lb * lb
-    coeffs = p.coeffs
-    if np.max(np.abs(coeffs.imag)) > 1e-12:
-        raise CompletionError("1 - A^2 - B^2 has non-real coefficients")
-    coeffs = coeffs.real.copy()
-    scale = float(np.max(np.abs(coeffs)))
-
+    p_hat = _coefficients(p, np.arange(2 * degree + 1)).real
+    scale = float(np.max(np.abs(p_hat)))
     if scale < 1e-14:  # A^2 + B^2 is already 1 everywhere
-        zero_c = TrigSeries.zero(ODD, degree)
-        zero_d = TrigSeries.zero(EVEN, degree)
-        return zero_c, zero_d
+        return TrigSeries.zero(ODD, degree), TrigSeries.zero(EVEN, degree)
+    span = int(np.flatnonzero(np.abs(p_hat) >= 1e-12 * scale)[-1])  # Laurent degree of P
 
-    # trim numerically-zero symmetric tails so the companion solve sees the
-    # true degree
-    while coeffs.size > 1 and abs(coeffs[0]) < 1e-12 * scale and abs(coeffs[-1]) < 1e-12 * scale:
-        coeffs = coeffs[1:-1]
-    span = (coeffs.size - 1) // 2  # Laurent degree of the trimmed P
+    roots = _near_zeros(p, p_hat[: span + 1])
+    if roots.size > span:
+        raise CompletionError(f"{roots.size} roots to deflate exceed the degree {span} of P")
+    deflation = _deflation(roots, m)
+    # Q = P / |deflation|^2 by least squares on P over all samples: dividing
+    # pointwise fails where P is at rounding level near its zeros
+    basis = np.cos(np.multiply.outer(_grid(m), np.arange(span - roots.size + 1)))
+    q, *_ = np.linalg.lstsq(np.abs(deflation[:, None]) ** 2 * basis, p, rcond=None)
 
-    roots = np.roots(coeffs[::-1]) if coeffs.size > 1 else np.array([])
-    g_roots = _select_factor_roots(roots)
-    if len(g_roots) != span:
-        raise CompletionError(
-            f"root pairing failed: selected {len(g_roots)} of {2 * span} roots"
-        )
-
-    gamma = np.atleast_1d(np.poly(g_roots))[::-1]  # ascending, monic
-    if np.max(np.abs(gamma.imag)) > 1e-6:
-        raise CompletionError("factor polynomial has non-real coefficients")
-    gamma = gamma.real
-
-    # center the factor: eta(z) = sqrt(lambda) * z^-floor(span/2) * gamma(z)
+    # center the factor on exponents -floor(span/2)..span - floor(span/2)
     lo = -(span // 2)
     hi = span + lo
-    if max(abs(lo), abs(hi)) > degree:
-        raise CompletionError(f"factor degree {max(abs(lo), abs(hi))} exceeds budget {degree}")
-    eta = np.zeros(2 * degree + 1)
-    eta[lo + degree : hi + degree + 1] = gamma
-
-    # scale so that eta * eta(1/z) matches P
-    auto = np.convolve(eta, eta[::-1])
-    mid = (auto.size - 1) // 2
-    auto = auto[mid - span : mid + span + 1]
-    lam = float(np.dot(coeffs, auto) / np.dot(auto, auto))
-    if lam <= 0.0:
-        raise CompletionError(f"negative spectral scale {lam:.3e}")
-    eta = eta * np.sqrt(lam)
-
-    ks = np.arange(1, degree + 1)
-    c_coeffs = np.concatenate([[0.0], eta[degree + ks] - eta[degree - ks]])
-    d_coeffs = np.concatenate([[eta[degree]], eta[degree + ks] + eta[degree - ks]])
-    c_coeffs, d_coeffs = _refine_completion(a, b, c_coeffs, d_coeffs, degree)
+    while True:
+        eta = np.zeros(2 * degree + 1)
+        eta[lo + degree : hi + degree + 1] = _factor(q, deflation, lo, hi)
+        c_coeffs = np.concatenate([[0.0], eta[degree + ks[1:]] - eta[degree - ks[1:]]])
+        d_coeffs = np.concatenate([[eta[degree]], eta[degree + ks[1:]] + eta[degree - ks[1:]]])
+        c_coeffs, d_coeffs = _refine_completion(a, b, c_coeffs, d_coeffs, degree)
+        cd2 = _samples(c_coeffs, ks, m).imag ** 2 + _samples(d_coeffs, ks, m).real ** 2
+        resid = float(np.max(np.abs(cd2 - p)))
+        log.debug("completion residual %.3e (degree %d, %d deflated zeros, m = %d)",
+                  resid, degree, roots.size, deflation.size)
+        if resid <= NORMALIZATION_TOL or deflation.size >= MAX_GRID:
+            break
+        deflation = _deflation(roots, MAX_GRID)
+    if not resid <= NORMALIZATION_TOL:  # a NaN fails too
+        raise CompletionError(f"normalization residual {resid:.3e} exceeds {NORMALIZATION_TOL}")
 
     c = TrigSeries(ODD, tuple(c_coeffs))
     d = TrigSeries(EVEN, tuple(d_coeffs))
-    check = np.linspace(0.0, 2.0 * np.pi, max(4 * (degree + 1), 1024), endpoint=False)
-    resid = float(
-        np.max(
-            np.abs(
-                a.evaluate(check) ** 2
-                + b.evaluate(check) ** 2
-                + c.evaluate(check) ** 2
-                + d.evaluate(check) ** 2
-                - 1.0
-            )
-        )
-    )
-    log.debug("completion residual %.3e (degree %d)", resid, degree)
-    if resid > NORMALIZATION_TOL:
-        raise CompletionError(f"normalization residual {resid:.3e} exceeds {NORMALIZATION_TOL}")
-
     d_pi = d.evaluate(np.pi)
     if abs(d_pi) > 1e-9 and np.sign(d_pi) != d_sign_at_pi:
         c = TrigSeries(ODD, tuple(-np.asarray(c.coeffs)))
         d = TrigSeries(EVEN, tuple(-np.asarray(d.coeffs)))
     return c, d
-
-
-def _matrix_laurent(a, b, c, d, degree):
-    """Matrix coefficients of F in the half-angle variable w = exp(i*theta/2).
-
-    Entry [m] multiplies w^(2*(m - degree)); only even powers occur.
-    """
-    la, lb, lc, ld = (to_laurent(s.padded(degree)) for s in (a, b, c, d))
-    out = np.zeros((2 * degree + 1, 2, 2), dtype=complex)
-    out[:, 0, 0] = la.coeffs + 1j * ld.coeffs
-    out[:, 1, 1] = la.coeffs - 1j * ld.coeffs
-    out[:, 0, 1] = 1j * lb.coeffs + lc.coeffs
-    out[:, 1, 0] = 1j * lb.coeffs - lc.coeffs
-    return out
 
 
 def _norm_2x2(m: np.ndarray) -> np.ndarray:
@@ -327,16 +348,17 @@ def extract_angles(
             raise ValueError(f"series degree {s.degree} exceeds budget {degree}")
 
     num_pulses = 2 * degree
-    fw = _matrix_laurent(a, b, c, d, degree)
+    # matrix coefficients of F in the half-angle variable w = exp(i*theta/2):
+    # the Laurent coefficient k of each series multiplies w^(2k)
     gcoef = np.zeros((2 * num_pulses + 1, 2, 2), dtype=complex)
-    gcoef[::2] = fw  # even w-exponents only
+    gcoef[::2] = _su2_stack(*(to_laurent(s.padded(degree)).coeffs for s in (a, b, c, d)))
     phis_rev = _peel(gcoef, num_pulses)
     g0 = gcoef[num_pulses]
     phi0 = float(-2.0 * np.angle(g0[0, 0]))
     phis = np.array([phi0] + phis_rev[::-1])
 
     thetas = np.linspace(0.0, 2.0 * np.pi, max(4 * (degree + 1), 32), endpoint=False)
-    targets = _quadruple_matrices(a, b, c, d, thetas)
+    targets = _su2_stack(*(s.evaluate(thetas) for s in (a, b, c, d)))
     misses = np.stack([evaluate_plan(phis, t) for t in thetas]) - targets
     worst = float(np.max(_norm_2x2(misses)))
     log.debug("extraction residual %.3e (L = %d)", worst, num_pulses)

@@ -86,6 +86,12 @@ class TestComplete:
         with pytest.raises(CompletionError, match="exceeds 1"):
             complete(TrigSeries.even((0.9, 0.5)), TrigSeries.zero("odd"), +1)
 
+    def test_nan_series_is_a_completion_error(self):
+        from mscompile import CompletionError
+
+        with pytest.raises(CompletionError, match="nan"):
+            complete(TrigSeries.even((np.nan, 0.5)), TrigSeries.zero("odd"), +1)
+
     def test_random_admissible_normalized(self):
         rng = np.random.default_rng(13)
         for trial in range(25):
@@ -190,7 +196,10 @@ class TestCrotAngles:
     def test_plan_blocks_match_target(self):
         from mscompile.subspace import compute_thetas
 
-        for n, alpha in [(3, -np.pi), (4, 0.3), (5, 2 * np.pi)]:
+        # two near-identity angles and a large N
+        cases = [(3, -np.pi), (4, 0.3), (5, 2 * np.pi), (10, -0.001)]
+        cases += [(12, 0.0019827690549103494), (48, np.pi)]
+        for n, alpha in cases:
             plan = crot_angles(n, alpha)
             thetas = compute_thetas(n, plan.tau, plan.h)
             for q, theta in enumerate(thetas):
