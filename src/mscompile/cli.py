@@ -32,6 +32,7 @@ from .simulate import (
     max_off_block,
     phase_distance,
     project_ancilla,
+    worst_block,
 )
 from .subspace import compute_thetas, default_params
 from .synthesis import _crot_quadruple, crot_angles, weighted_angles
@@ -171,33 +172,36 @@ def cmd_verify(args) -> int:
             print("error: toffoli target expects n+1 qubits and one ancilla", file=sys.stderr)
             return USAGE_ERROR
         ancilla = next(iter(circ.ancilla_qubits))
-        block, leakage = project_ancilla(u, ancilla, 0)
-        distance = phase_distance(block, ideal_toffoli(args.n))
+        u, leakage = project_ancilla(u, ancilla, 0)
+        ideal, target = ideal_toffoli(args.n), 0
         print(f"ancilla_leakage = {leakage:.3e}")
     else:
         if circ.num_qubits != args.n:
             print(f"error: circuit has {circ.num_qubits} qubits, target expects {args.n}", file=sys.stderr)
             return USAGE_ERROR
+        target = circ.target_qubit
         if args.target == "crot":
             if args.alpha is None:
                 print("error: crot target needs --alpha", file=sys.stderr)
                 return USAGE_ERROR
-            ideal = ideal_crot(args.n, args.alpha, target=circ.target_qubit)
+            ideal = ideal_crot(args.n, args.alpha, target=target)
         else:
             if args.alphas is None:
                 print("error: weighted target needs --alphas", file=sys.stderr)
                 return USAGE_ERROR
-            ideal = ideal_weighted(args.n, args.alphas, target=circ.target_qubit)
-        distance = phase_distance(u, ideal)
-        print(f"off_block_max = {max_off_block(u, circ.target_qubit):.3e}")
+            ideal = ideal_weighted(args.n, args.alphas, target=target)
+        print(f"off_block_max = {max_off_block(u, target):.3e}")
         if args.target == "crot":
             worst = 0.0
-            for ctrl, block in control_blocks(u, circ.target_qubit):
+            for ctrl, block in control_blocks(u, target):
                 if ctrl != 2 ** (args.n - 1) - 1:
                     worst = max(worst, abs(block[0, 1]), abs(block[1, 0]))
             print(f"idle_block_offdiag = {worst:.3e}")
 
-    verdict = "PASS" if distance <= args.tolerance else "FAIL"
+    distance = phase_distance(u, ideal)
+    block_miss = worst_block(u, ideal, target)
+    print(f"worst_block = {block_miss:.3e}")
+    verdict = "PASS" if distance <= args.tolerance and block_miss <= args.tolerance else "FAIL"
     print(f"phase_distance = {distance:.6e}  tolerance = {args.tolerance:.1e}  {verdict}")
     return 0 if verdict == "PASS" else VERIFY_ERROR
 

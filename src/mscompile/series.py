@@ -50,14 +50,6 @@ class TrigSeries:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def even(cls, coeffs) -> TrigSeries:
-        return cls(EVEN, tuple(coeffs))
-
-    @classmethod
-    def odd(cls, coeffs) -> TrigSeries:
-        return cls(ODD, tuple(coeffs))
-
-    @classmethod
     def zero(cls, parity: str, degree: int = 0) -> TrigSeries:
         return cls(parity, (0.0,) * (degree + 1))
 
@@ -74,15 +66,6 @@ class TrigSeries:
         out = basis @ np.asarray(self.coeffs)
         return out if out.ndim else float(out)
 
-    def derivative(self, theta):
-        """Exact termwise derivative at theta (scalar or ndarray)."""
-        theta = np.asarray(theta, dtype=float)
-        k = np.arange(len(self.coeffs))
-        kt = np.multiply.outer(theta, k)
-        basis = -np.sin(kt) * k if self.parity == EVEN else np.cos(kt) * k
-        out = basis @ np.asarray(self.coeffs)
-        return out if out.ndim else float(out)
-
     def padded(self, degree: int) -> TrigSeries:
         """Same series with trailing zeros up to the requested degree."""
         if degree < self.degree:
@@ -93,28 +76,8 @@ class TrigSeries:
         return self.evaluate(theta)
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Complex Laurent polynomial sum_{k=-M..M} coeffs[k] z^k.
-
-    Stored dense; ``coeffs`` runs from exponent -M up to +M.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.ndim != 1 or arr.size % 2 == 0:
-            raise ValueError("coeffs must be a 1-d array of odd length (-M..M)")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def degree(self) -> int:
-        return (self.coeffs.size - 1) // 2
-
-
-def to_laurent(s: TrigSeries) -> LaurentPoly:
-    """Laurent form of a trig series on the unit circle."""
+def to_laurent(s: TrigSeries) -> np.ndarray:
+    """Laurent coefficients of a trig series on the unit circle, exponents -M..M."""
     half = np.asarray(s.coeffs[1:], dtype=complex) / (2.0 if s.parity == EVEN else 2.0j)
     mirror = half if s.parity == EVEN else -half
-    return LaurentPoly(np.concatenate([mirror[::-1], [s.coeffs[0]], half]))
+    return np.concatenate([mirror[::-1], [s.coeffs[0]], half])

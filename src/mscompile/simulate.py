@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import H, MS, RX, RY, RZ, Circuit, Gate
-from .su2 import HADAMARD, rx, ry, rz
+from .su2 import HADAMARD, norm_2x2, rx, ry, rz
 
 MAX_UNITARY_QUBITS = 14
 
@@ -224,6 +224,21 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
         raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
     dim = u.shape[0]
     return float(np.maximum(0.0, 1.0 - abs(np.vdot(u, v)) / dim))
+
+
+def worst_block(u: np.ndarray, v: np.ndarray, target: int = 0) -> float:
+    """max over control patterns c of ||U_c - e^(i*phi) V_c||_2, phi = arg tr(V^dag U).
+
+    U_c and V_c are the 2x2 target blocks of ``control_blocks``.  Unlike
+    phase_distance, every pattern counts in full, so a miss in the one block
+    a controlled gate acts on is not diluted by 2^(N-1).  NaN when either
+    matrix holds a NaN, so it never meets a tolerance.
+    """
+    if u.shape != v.shape:
+        raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
+    blocks = _blocks(u.shape[0].bit_length() - 1, (target,))
+    phase = np.exp(1j * np.angle(np.vdot(v, u)))
+    return float(np.max(norm_2x2(u[blocks] - phase * v[blocks])))
 
 
 def project_ancilla(u: np.ndarray, ancilla: int, bit: int) -> tuple[np.ndarray, float]:

@@ -35,3 +35,18 @@ def canonical_angle(angle: float) -> float:
     if folded > 2.0 * np.pi:
         folded -= 4.0 * np.pi
     return folded
+
+
+def norm_2x2(m: np.ndarray) -> np.ndarray:
+    """Operator 2-norm of each 2x2 matrix in a (..., 2, 2) stack.
+
+    sigma_max^2 = (F + sqrt(F^2 - 4|det|^2)) / 2 with F the squared
+    Frobenius norm.  The discriminant is formed as (p - q)^2 + 4|r|^2 from
+    m m^H = [[p, r], [r*, q]], which equals F^2 - 4|det|^2 without its
+    cancellation when the two singular values are close.
+    """
+    rows = np.sum(m.real**2 + m.imag**2, axis=-1)
+    p, q = rows[..., 0], rows[..., 1]
+    r = m[..., 0, 0] * np.conj(m[..., 1, 0]) + m[..., 0, 1] * np.conj(m[..., 1, 1])
+    disc = (p - q) ** 2 + 4.0 * (r.real**2 + r.imag**2)
+    return np.sqrt(0.5 * (p + q + np.sqrt(disc)))

@@ -20,14 +20,13 @@ import numpy as np
 
 from .series import EVEN, ODD, SynthesisError, TrigSeries, to_laurent
 from .fitting import fit_A, fit_weight_dependent, weighted_params
-from .su2 import canonical_angle, rx, rz
+from .su2 import canonical_angle, norm_2x2, rx, rz
 from .subspace import default_params, phase_reset_ok
 
 log = logging.getLogger(__name__)
 
 NORMALIZATION_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
-MAX_GRID = 2**16
 
 
 class CompletionError(SynthesisError):
@@ -84,34 +83,6 @@ def _su2_stack(av, bv, cv, dv) -> np.ndarray:
     out[:, 0, 1] = 1j * bv + cv
     out[:, 1, 0] = 1j * bv - cv
     return out
-
-
-def _refine_completion(a, b, c_coeffs, d_coeffs, degree):
-    """Gauss-Newton polish of (C, D) against A^2+B^2+C^2+D^2 = 1."""
-    grid = np.linspace(0.0, 2.0 * np.pi, max(8 * (degree + 1), 256), endpoint=False)
-    k = np.arange(degree + 1)
-    sin_basis = np.sin(np.outer(grid, k))
-    cos_basis = np.cos(np.outer(grid, k))
-    ab2 = a.evaluate(grid) ** 2 + b.evaluate(grid) ** 2
-    best = (np.inf, c_coeffs, d_coeffs)
-    for _ in range(8):
-        cv = sin_basis @ c_coeffs
-        dv = cos_basis @ d_coeffs
-        resid = ab2 + cv**2 + dv**2 - 1.0
-        worst = float(np.max(np.abs(resid)))
-        if worst < best[0]:
-            best = (worst, c_coeffs.copy(), d_coeffs.copy())
-        if worst < 1e-14:
-            break
-        jac = np.hstack([2.0 * cv[:, None] * sin_basis, 2.0 * dv[:, None] * cos_basis])
-        step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        # the sin(0) column is all zeros, yet lstsq can return a tiny nonzero
-        # step for it, which would break C's odd parity
-        step[0] = 0.0
-        c_coeffs = c_coeffs + step[: degree + 1]
-        d_coeffs = d_coeffs + step[degree + 1 :]
-    _, c_coeffs, d_coeffs = best
-    return c_coeffs, d_coeffs
 
 
 def _grid(m: int) -> np.ndarray:
@@ -211,10 +182,10 @@ def complete(a: TrigSeries, b: TrigSeries, d_sign_at_pi: int) -> tuple[TrigSerie
     no crot or weighted pin lands on the half-step grid.  The roots of P on
     and near the circle are deflated, the quotient is fitted by least
     squares and factored by its real cepstrum, and one FFT of the product
-    gives eta, whose odd/even parts are C and D (polished by Gauss-Newton).
-    A normalization miss over 1e-10 refactors once on MAX_GRID samples.
-    The sign of D(pi), when nonzero, is flipped (together with C) to match
-    d_sign_at_pi; that flip maps realizable quadruples to realizable ones.
+    gives eta, whose odd/even parts are C and D.  A normalization miss over
+    1e-10 raises CompletionError.  The sign of D(pi), when nonzero, is
+    flipped (together with C) to match d_sign_at_pi; that flip maps
+    realizable quadruples to realizable ones.
     """
     if a.parity != EVEN or b.parity != ODD:
         raise ValueError("complete() expects an even A and an odd B")
@@ -248,19 +219,14 @@ def complete(a: TrigSeries, b: TrigSeries, d_sign_at_pi: int) -> tuple[TrigSerie
     # center the factor on exponents -floor(span/2)..span - floor(span/2)
     lo = -(span // 2)
     hi = span + lo
-    while True:
-        eta = np.zeros(2 * degree + 1)
-        eta[lo + degree : hi + degree + 1] = _factor(q, deflation, lo, hi)
-        c_coeffs = np.concatenate([[0.0], eta[degree + ks[1:]] - eta[degree - ks[1:]]])
-        d_coeffs = np.concatenate([[eta[degree]], eta[degree + ks[1:]] + eta[degree - ks[1:]]])
-        c_coeffs, d_coeffs = _refine_completion(a, b, c_coeffs, d_coeffs, degree)
-        cd2 = _samples(c_coeffs, ks, m).imag ** 2 + _samples(d_coeffs, ks, m).real ** 2
-        resid = float(np.max(np.abs(cd2 - p)))
-        log.debug("completion residual %.3e (degree %d, %d deflated zeros, m = %d)",
-                  resid, degree, roots.size, deflation.size)
-        if resid <= NORMALIZATION_TOL or deflation.size >= MAX_GRID:
-            break
-        deflation = _deflation(roots, MAX_GRID)
+    eta = np.zeros(2 * degree + 1)
+    eta[lo + degree : hi + degree + 1] = _factor(q, deflation, lo, hi)
+    c_coeffs = np.concatenate([[0.0], eta[degree + ks[1:]] - eta[degree - ks[1:]]])
+    d_coeffs = np.concatenate([[eta[degree]], eta[degree + ks[1:]] + eta[degree - ks[1:]]])
+    cd2 = _samples(c_coeffs, ks, m).imag ** 2 + _samples(d_coeffs, ks, m).real ** 2
+    resid = float(np.max(np.abs(cd2 - p)))
+    log.debug("completion residual %.3e (degree %d, %d deflated zeros, m = %d)",
+              resid, degree, roots.size, m)
     if not resid <= NORMALIZATION_TOL:  # a NaN fails too
         raise CompletionError(f"normalization residual {resid:.3e} exceeds {NORMALIZATION_TOL}")
 
@@ -271,21 +237,6 @@ def complete(a: TrigSeries, b: TrigSeries, d_sign_at_pi: int) -> tuple[TrigSerie
         c = TrigSeries(ODD, tuple(-np.asarray(c.coeffs)))
         d = TrigSeries(EVEN, tuple(-np.asarray(d.coeffs)))
     return c, d
-
-
-def _norm_2x2(m: np.ndarray) -> np.ndarray:
-    """Operator 2-norm of each 2x2 matrix in a (..., 2, 2) stack.
-
-    sigma_max^2 = (F + sqrt(F^2 - 4|det|^2)) / 2 with F the squared
-    Frobenius norm.  The discriminant is formed as (p - q)^2 + 4|r|^2 from
-    m m^H = [[p, r], [r*, q]], which equals F^2 - 4|det|^2 without its
-    cancellation when the two singular values are close.
-    """
-    rows = np.sum(m.real**2 + m.imag**2, axis=-1)
-    p, q = rows[..., 0], rows[..., 1]
-    r = m[..., 0, 0] * np.conj(m[..., 1, 0]) + m[..., 0, 1] * np.conj(m[..., 1, 1])
-    disc = (p - q) ** 2 + 4.0 * (r.real**2 + r.imag**2)
-    return np.sqrt(0.5 * (p + q + np.sqrt(disc)))
 
 
 def _step_projectors(phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +302,7 @@ def extract_angles(
     # matrix coefficients of F in the half-angle variable w = exp(i*theta/2):
     # the Laurent coefficient k of each series multiplies w^(2k)
     gcoef = np.zeros((2 * num_pulses + 1, 2, 2), dtype=complex)
-    gcoef[::2] = _su2_stack(*(to_laurent(s.padded(degree)).coeffs for s in (a, b, c, d)))
+    gcoef[::2] = _su2_stack(*(to_laurent(s.padded(degree)) for s in (a, b, c, d)))
     phis_rev = _peel(gcoef, num_pulses)
     g0 = gcoef[num_pulses]
     phi0 = float(-2.0 * np.angle(g0[0, 0]))
@@ -360,7 +311,7 @@ def extract_angles(
     thetas = np.linspace(0.0, 2.0 * np.pi, max(4 * (degree + 1), 32), endpoint=False)
     targets = _su2_stack(*(s.evaluate(thetas) for s in (a, b, c, d)))
     misses = np.stack([evaluate_plan(phis, t) for t in thetas]) - targets
-    worst = float(np.max(_norm_2x2(misses)))
+    worst = float(np.max(norm_2x2(misses)))
     log.debug("extraction residual %.3e (L = %d)", worst, num_pulses)
     if not worst <= RECONSTRUCTION_TOL:  # a NaN miss fails too
         raise ExtractionError(f"reconstruction error {worst:.3e} exceeds {RECONSTRUCTION_TOL}")

@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.linalg import expm
 
-from mscompile import Circuit, TrigSeries
+from mscompile import EVEN, ODD, Circuit, TrigSeries
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -69,6 +69,15 @@ def quadruple_matrix(a, b, c, d, theta) -> np.ndarray:
     return np.array([[av + 1j * dv, 1j * bv + cv], [1j * bv - cv, av - 1j * dv]])
 
 
+def series_derivative(s: TrigSeries, theta):
+    """Exact termwise derivative of a trig series at theta (scalar or ndarray)."""
+    k = np.arange(len(s.coeffs))
+    kt = np.multiply.outer(np.asarray(theta, dtype=float), k)
+    basis = -np.sin(kt) * k if s.parity == EVEN else np.cos(kt) * k
+    out = basis @ np.asarray(s.coeffs)
+    return out if out.ndim else float(out)
+
+
 def series_from_samples(values: np.ndarray, degree: int, parity: str) -> TrigSeries:
     """Recover trig-series coefficients from uniform samples over [0, 2*pi)."""
     k = len(values)
@@ -87,13 +96,13 @@ def random_admissible_series(rng, max_degree=8, with_b=False):
     deg = int(rng.integers(1, max_degree + 1))
     grid = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
     a = np.asarray(rng.normal(size=deg + 1))
-    a_series = TrigSeries.even(tuple(a))
+    a_series = TrigSeries(EVEN, tuple(a))
     margin = 1.0 + 10.0 ** rng.uniform(-3, 0)
-    a_series = TrigSeries.even(tuple(a / (np.max(np.abs(a_series.evaluate(grid))) * margin)))
+    a_series = TrigSeries(EVEN, tuple(a / (np.max(np.abs(a_series.evaluate(grid))) * margin)))
     if not with_b:
         return a_series, TrigSeries.zero("odd")
     b = np.concatenate([[0.0], rng.normal(size=deg)])
-    b_series = TrigSeries.odd(tuple(b))
+    b_series = TrigSeries(ODD, tuple(b))
     room = np.sqrt(np.maximum(1e-15, 1.0 - a_series.evaluate(grid) ** 2))
     squeeze = np.max(np.abs(b_series.evaluate(grid)) / room) * (1.0 + 10.0 ** rng.uniform(-3, 0))
-    return a_series, TrigSeries.odd(tuple(b / squeeze))
+    return a_series, TrigSeries(ODD, tuple(b / squeeze))

@@ -135,6 +135,15 @@ class TestCompileVerify:
         assert main(args) == 1  # 3-decimal table angles miss 1e-6
         assert main(args + ["--tolerance", "1e-2"]) == 0
 
+    def test_wrong_controlled_angle_fails(self, tmp_path, capsys):
+        # the all-controls-on block weighs 2^-9 in the trace at N = 10, so
+        # phase_distance alone (6.1e-7) would pass this circuit
+        path = tmp_path / "c.json"
+        assert main(["compile", "--kind", "crot", "--n", "10", "--alpha", "1.1", "--out", str(path)]) == 0
+        assert main(["verify", "--circuit", str(path), "--target", "crot", "--n", "10", "--alpha", "1.15"]) == 1
+        out = capsys.readouterr().out
+        assert "worst_block = 2.500e-02" in out and "FAIL" in out
+
     def test_synthesis_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         for error in (FittingError, CompletionError, ExtractionError):
             assert issubclass(error, SynthesisError), error.__name__

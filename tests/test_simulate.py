@@ -17,6 +17,7 @@ from mscompile import (
     phase_distance,
     project_ancilla,
     weighted_angles,
+    worst_block,
 )
 from mscompile.simulate import _fused_ops
 from mscompile.su2 import rx, rz
@@ -249,6 +250,7 @@ class TestPhaseDistance:
         v[2, 2] = np.nan
         assert np.isnan(phase_distance(u, v))
         assert not phase_distance(u, v) <= 1e-6
+        assert np.isnan(worst_block(u, v))
 
     def test_equal(self):
         u = circuit_unitary(Circuit(2, (Gate.h(0), Gate.ms(0.3))))
@@ -257,6 +259,18 @@ class TestPhaseDistance:
     def test_global_phase_invisible(self):
         eye = np.eye(4, dtype=complex)
         assert phase_distance(eye, np.exp(0.77j) * eye) == pytest.approx(0.0, abs=1e-15)
+        assert worst_block(eye, np.exp(0.77j) * eye) == pytest.approx(0.0, abs=1e-15)
+
+    def test_worst_block_sees_the_controlled_block(self):
+        u, v = ideal_crot(6, 1.1, target=2), np.exp(0.4j) * ideal_crot(6, 1.15, target=2)
+        phase = np.vdot(v, u) / abs(np.vdot(v, u))
+        want = max(
+            np.linalg.norm(bu - phase * bv, 2)
+            for (_, bu), (_, bv) in zip(control_blocks(u, 2), control_blocks(v, 2))
+        )
+        assert worst_block(u, v, target=2) == pytest.approx(want, rel=1e-12)
+        # the trace weighs the one differing block by 2^-5
+        assert phase_distance(u, v) < 1e-4 < 1e-2 < want
 
     def test_orthogonal_pair(self):
         z = np.diag([1.0, -1.0]).astype(complex)

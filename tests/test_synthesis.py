@@ -3,6 +3,8 @@ import pytest
 from _helpers import pauli_components, quadruple_matrix, random_admissible_series, series_from_samples
 
 from mscompile import (
+    EVEN,
+    ODD,
     CompilationPlan,
     TrigSeries,
     build_crot_circuit,
@@ -17,8 +19,7 @@ from mscompile import (
     phase_reset_ok,
     weighted_angles,
 )
-from mscompile.su2 import rx, rz
-from mscompile.synthesis import _norm_2x2
+from mscompile.su2 import norm_2x2, rx, rz
 
 GRID = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
 
@@ -62,20 +63,20 @@ class TestEvaluatePlan:
 
 class TestComplete:
     def test_trivial_quadruple(self):
-        a = TrigSeries.even((1.0,))
+        a = TrigSeries(EVEN, (1.0,))
         b = TrigSeries.zero("odd")
         c, d = complete(a, b, +1)
         np.testing.assert_allclose(c.evaluate(GRID), 0.0, atol=1e-14)
         np.testing.assert_allclose(d.evaluate(GRID), 0.0, atol=1e-14)
 
     def test_n2_pi_has_unit_d_at_pi(self):
-        a = TrigSeries.even((0.5, 0.5))  # fit for N=2, alpha=pi
+        a = TrigSeries(EVEN, (0.5, 0.5))  # fit for N=2, alpha=pi
         c, d = complete(a, TrigSeries.zero("odd"), -1)
         assert abs(d.evaluate(np.pi)) == pytest.approx(1.0, abs=1e-12)  # sin(pi/2)
         assert d.evaluate(np.pi) == pytest.approx(-1.0, abs=1e-12)
 
     def test_branch_sign_flip(self):
-        a = TrigSeries.even((0.5, 0.5))
+        a = TrigSeries(EVEN, (0.5, 0.5))
         _, d_minus = complete(a, TrigSeries.zero("odd"), -1)
         _, d_plus = complete(a, TrigSeries.zero("odd"), +1)
         assert d_minus.evaluate(np.pi) == pytest.approx(-d_plus.evaluate(np.pi), abs=1e-12)
@@ -84,13 +85,13 @@ class TestComplete:
         from mscompile import CompletionError
 
         with pytest.raises(CompletionError, match="exceeds 1"):
-            complete(TrigSeries.even((0.9, 0.5)), TrigSeries.zero("odd"), +1)
+            complete(TrigSeries(EVEN, (0.9, 0.5)), TrigSeries.zero("odd"), +1)
 
     def test_nan_series_is_a_completion_error(self):
         from mscompile import CompletionError
 
         with pytest.raises(CompletionError, match="nan"):
-            complete(TrigSeries.even((np.nan, 0.5)), TrigSeries.zero("odd"), +1)
+            complete(TrigSeries(EVEN, (np.nan, 0.5)), TrigSeries.zero("odd"), +1)
 
     def test_random_admissible_normalized(self):
         rng = np.random.default_rng(13)
@@ -104,14 +105,14 @@ class TestComplete:
 
 class TestExtractAngles:
     def test_constant_identity(self):
-        a = TrigSeries.even((1.0,))
+        a = TrigSeries(EVEN, (1.0,))
         z = TrigSeries.zero
         phis = extract_angles(a, z("odd"), z("odd"), z("even"), 0)
         assert phis == (0.0,)
 
     def test_pure_x_rotation(self):
-        a = TrigSeries.even((0.0, 1.0))
-        b = TrigSeries.odd((0.0, -1.0))
+        a = TrigSeries(EVEN, (0.0, 1.0))
+        b = TrigSeries(ODD, (0.0, -1.0))
         phis = extract_angles(a, b, TrigSeries.zero("odd", 1), TrigSeries.zero("even", 1), 1)
         np.testing.assert_allclose(phis, (0.0, 0.0, 0.0), atol=1e-9)
         theta = 0.83
@@ -120,7 +121,7 @@ class TestExtractAngles:
     def test_nan_quadruple_is_an_extraction_error(self):
         from mscompile import ExtractionError
 
-        a = TrigSeries.even((np.nan, 0.5))
+        a = TrigSeries(EVEN, (np.nan, 0.5))
         z = TrigSeries.zero
         with pytest.raises(ExtractionError, match="nan"):
             extract_angles(a, z("odd", 1), z("odd", 1), z("even", 1), 1)
@@ -198,7 +199,7 @@ class TestCrotAngles:
 
         # two near-identity angles and a large N
         cases = [(3, -np.pi), (4, 0.3), (5, 2 * np.pi), (10, -0.001)]
-        cases += [(12, 0.0019827690549103494), (48, np.pi)]
+        cases += [(12, 0.0019827690549103494), (48, np.pi), (64, 2 * np.pi - 0.05)]
         for n, alpha in cases:
             plan = crot_angles(n, alpha)
             thetas = compute_thetas(n, plan.tau, plan.h)
@@ -280,4 +281,4 @@ def test_norm_2x2_matches_lapack():
         for scale in (1.0, 1e-15, 1e3):
             m = scale * mats
             want = np.linalg.norm(m, ord=2, axis=(-2, -1))
-            np.testing.assert_allclose(_norm_2x2(m), want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(norm_2x2(m), want, rtol=1e-12, atol=0)
