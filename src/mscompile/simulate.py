@@ -178,30 +178,33 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return mat
 
 
+def _block_diagonal(n: int, blocks: np.ndarray, target: int) -> np.ndarray:
+    """Dense unitary with the 2x2 blocks[c] on the target at control pattern c.
+
+    Patterns are numbered as in ``_blocks``; all controls |1> is the last.
+    """
+    u = np.zeros((2**n, 2**n), dtype=complex)
+    u[_blocks(n, (target,))] = blocks
+    return u
+
+
+def _controlled(n: int, u2: np.ndarray, target: int) -> np.ndarray:
+    """Identity blocks, with u2 on the target when all controls are |1>."""
+    blocks = np.tile(np.eye(2, dtype=complex), (2 ** (n - 1), 1, 1))
+    blocks[-1] = u2
+    return _block_diagonal(n, blocks, target)
+
+
 def ideal_crot(n: int, alpha: float, target: int = 0) -> np.ndarray:
     """Identity except Rz(alpha) on the target when all controls are |1>."""
-    dim = 2**n
-    idx = np.arange(dim)
-    ctrl_mask = (dim - 1) ^ (1 << target)
-    sel = (idx & ctrl_mask) == ctrl_mask
-    tbit = (idx >> target) & 1
-    diag = np.ones(dim, dtype=complex)
-    diag[sel & (tbit == 0)] = np.exp(-0.5j * alpha)
-    diag[sel & (tbit == 1)] = np.exp(+0.5j * alpha)
-    return np.diag(diag)
+    return _controlled(n, rz(alpha), target)
 
 
 def ideal_toffoli(n: int) -> np.ndarray:
     """Bitflip on qubit 0 when qubits 1..n-1 are all |1>."""
     if n < 2:
         raise ValueError(f"Toffoli needs at least 2 qubits, got {n}")
-    dim = 2**n
-    idx = np.arange(dim)
-    ctrl_mask = dim - 2
-    flip = np.where((idx & ctrl_mask) == ctrl_mask, idx ^ 1, idx)
-    u = np.zeros((dim, dim))
-    u[flip, idx] = 1.0
-    return u.astype(complex)
+    return _controlled(n, np.array([[0.0, 1.0], [1.0, 0.0]]), 0)
 
 
 def ideal_weighted(n: int, alphas, target: int = 0) -> np.ndarray:
@@ -210,9 +213,7 @@ def ideal_weighted(n: int, alphas, target: int = 0) -> np.ndarray:
     if len(alphas) != n:
         raise ValueError(f"need {n} angles, got {len(alphas)}")
     weights = np.bitwise_count(np.arange(2 ** (n - 1)))
-    u = np.zeros((2**n, 2**n), dtype=complex)
-    u[_blocks(n, (target,))] = np.array([rx(a) for a in alphas])[weights]
-    return u
+    return _block_diagonal(n, np.array([rx(a) for a in alphas])[weights], target)
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:

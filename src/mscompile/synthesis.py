@@ -179,13 +179,14 @@ def complete(a: TrigSeries, b: TrigSeries, d_sign_at_pi: int) -> tuple[TrigSerie
 
     Factorizes P = 1 - A^2 - B^2 >= 0 as |eta|^2 with real eta on m =
     2^ceil(log2(64*(degree + 1))) circle samples; m is a power of two, so
-    no crot or weighted pin lands on the half-step grid.  The roots of P on
-    and near the circle are deflated, the quotient is fitted by least
-    squares and factored by its real cepstrum, and one FFT of the product
-    gives eta, whose odd/even parts are C and D.  A normalization miss over
-    1e-10 raises CompletionError.  The sign of D(pi), when nonzero, is
-    flipped (together with C) to match d_sign_at_pi; that flip maps
-    realizable quadruples to realizable ones.
+    no crot or weighted pin lands on the half-step grid.  A sample with
+    P < -1e-9 raises CompletionError, the pipeline's only check that
+    A^2 + B^2 <= 1.  The roots of P on and near the circle are deflated,
+    the quotient is fitted by least squares and factored by its real
+    cepstrum, and one FFT of the product gives eta, whose odd/even parts
+    are C and D.  A normalization miss over 1e-10 raises CompletionError.
+    The sign of D(pi), when nonzero, is flipped (together with C) to match
+    d_sign_at_pi; that flip maps realizable quadruples to realizable ones.
     """
     if a.parity != EVEN or b.parity != ODD:
         raise ValueError("complete() expects an even A and an odd B")
@@ -199,7 +200,10 @@ def complete(a: TrigSeries, b: TrigSeries, d_sign_at_pi: int) -> tuple[TrigSerie
     p -= _samples(b.coeffs, ks[: b.degree + 1], m).imag ** 2
     overshoot = -float(np.min(p))
     if not overshoot <= 1e-9:  # a NaN fails too
-        raise CompletionError(f"A^2 + B^2 exceeds 1 by {overshoot:.3e}; nothing to factorize")
+        raise CompletionError(
+            f"A^2 + B^2 exceeds 1 by {overshoot:.3e}: "
+            "the requested weight profile is not normalizable at this degree"
+        )
 
     p_hat = _coefficients(p, np.arange(2 * degree + 1)).real
     scale = float(np.max(np.abs(p_hat)))
@@ -332,13 +336,20 @@ def pad_for_phase_reset(plan: CompilationPlan) -> CompilationPlan:
 
 
 def _crot_quadruple(n: int, alpha: float) -> tuple[TrigSeries, TrigSeries, TrigSeries, TrigSeries]:
-    """Normalized (A, B, C, D) of the controlled rotation: fitted A, zero B."""
+    """Normalized (A, B, C, D) of the controlled rotation: fitted A, zero B.
+
+    The controlled block is A(pi) + i*D(pi)*Z, so it is Rz(alpha) iff
+    D(pi) = -sin(alpha/2).  A miss over RECONSTRUCTION_TOL raises
+    CompletionError: near alpha = 2*pi*k, P(pi) = sin^2(alpha/2) can sit
+    at the rounding level where completion takes it for a zero.
+    """
     a = fit_A(n, alpha)
     b = TrigSeries.zero(ODD)
-    # pin D(pi) = -sin(alpha/2) so the special block is Rz(alpha), not its
-    # inverse
     sin_half = np.sin(alpha / 2.0)
     c, d = complete(a, b, -1 if sin_half > 0 else +1)
+    miss = abs(d.evaluate(np.pi) + sin_half)
+    if not miss <= RECONSTRUCTION_TOL:
+        raise CompletionError(f"controlled block misses Rz(alpha) by {miss:.3e} (D(pi) + sin(alpha/2))")
     return a, b, c, d
 
 

@@ -58,6 +58,10 @@ class TestCrotAngles:
         assert main(["crot-angles", "--n", "40", "--alpha", "pi"]) == 0
         assert "L = 80" in capsys.readouterr().out
 
+    def test_controlled_block_miss_exits_2(self, capsys):
+        assert main(["crot-angles", "--n", "10", "--alpha", "6.283184307179586"]) == 2
+        assert "controlled block misses" in capsys.readouterr().err
+
     def test_identity_alpha_gives_identity_plan(self, tmp_path, capsys):
         assert main(["crot-angles", "--n", "2", "--alpha", "0"]) == 0
         out = capsys.readouterr().out

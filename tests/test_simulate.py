@@ -210,7 +210,31 @@ class TestBlockStore:
         np.testing.assert_allclose(circuit_unitary(circ), slow_unitary(circ), atol=1e-12)
 
 
+def _block_indices(c: int, target: int) -> list[int]:
+    """Basis indices of control pattern c with the target bit 0, then 1."""
+    low = c & ((1 << target) - 1)
+    return [((c >> target) << (target + 1)) | (bit << target) | low for bit in (0, 1)]
+
+
 class TestIdealUnitaries:
+    @pytest.mark.parametrize("n, target", [(n, t) for n in range(2, 7) for t in sorted({0, n // 2, n - 1})])
+    def test_blocks_match_definition(self, n, target):
+        alpha, alphas = 0.7 * n, np.linspace(-2.0, 2.5, n)
+        last = 2 ** (n - 1) - 1
+        cases = [
+            (ideal_crot(n, alpha, target), lambda c: rz(alpha) if c == last else np.eye(2)),
+            (ideal_weighted(n, alphas, target), lambda c: rx(alphas[bin(c).count("1")])),
+        ]
+        if target == 0:  # the Toffoli target is always qubit 0
+            x = np.array([[0, 1], [1, 0]])
+            cases.append((ideal_toffoli(n), lambda c: x if c == last else np.eye(2)))
+        for u, want in cases:
+            assert max_off_block(u, target) == 0.0
+            for c, block in control_blocks(u, target):
+                idx = _block_indices(c, target)
+                np.testing.assert_array_equal(block, want(c))
+                np.testing.assert_array_equal(u[np.ix_(idx, idx)], want(c))
+
     def test_crot_identity_angle(self):
         np.testing.assert_array_equal(ideal_crot(3, 0.0), np.eye(8))
 

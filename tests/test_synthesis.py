@@ -6,6 +6,7 @@ from mscompile import (
     EVEN,
     ODD,
     CompilationPlan,
+    CompletionError,
     TrigSeries,
     build_crot_circuit,
     circuit_unitary,
@@ -82,14 +83,13 @@ class TestComplete:
         assert d_minus.evaluate(np.pi) == pytest.approx(-d_plus.evaluate(np.pi), abs=1e-12)
 
     def test_rejects_inadmissible_input(self):
-        from mscompile import CompletionError
-
         with pytest.raises(CompletionError, match="exceeds 1"):
             complete(TrigSeries(EVEN, (0.9, 0.5)), TrigSeries.zero("odd"), +1)
+        # the pipeline's only unit-modulus check: max A^2 = 1.21 at theta = 0
+        with pytest.raises(CompletionError, match="not normalizable"):
+            complete(TrigSeries(EVEN, (0.0, 1.1)), TrigSeries.zero(ODD), +1)
 
     def test_nan_series_is_a_completion_error(self):
-        from mscompile import CompletionError
-
         with pytest.raises(CompletionError, match="nan"):
             complete(TrigSeries(EVEN, (np.nan, 0.5)), TrigSeries.zero("odd"), +1)
 
@@ -200,6 +200,7 @@ class TestCrotAngles:
         # two near-identity angles and a large N
         cases = [(3, -np.pi), (4, 0.3), (5, 2 * np.pi), (10, -0.001)]
         cases += [(12, 0.0019827690549103494), (48, np.pi), (64, 2 * np.pi - 0.05)]
+        cases += [(10, 2 * np.pi), (10, 2 * np.pi - 1e-4)]  # just outside the band that raises
         for n, alpha in cases:
             plan = crot_angles(n, alpha)
             thetas = compute_thetas(n, plan.tau, plan.h)
@@ -207,6 +208,13 @@ class TestCrotAngles:
                 u = evaluate_plan(plan.phis, theta)
                 want = rz(alpha) if q == n - 1 else np.eye(2)
                 np.testing.assert_allclose(u, want, atol=1e-9)
+
+    @pytest.mark.parametrize("n, alpha", [(10, 2 * np.pi - 1e-6), (27, 1e-6)])
+    def test_controlled_block_miss_is_a_completion_error(self, n, alpha):
+        # P(pi) = sin^2(alpha/2) = 2.5e-13 is taken for a zero there, so D(pi)
+        # comes out 0 and the controlled block would miss Rz(alpha) by 5e-7
+        with pytest.raises(CompletionError, match="controlled block misses"):
+            crot_angles(n, alpha)
 
     def test_quadruple_normalization_over_sweep(self):
         from mscompile import fit_A
