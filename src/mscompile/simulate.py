@@ -246,12 +246,21 @@ def project_ancilla(u: np.ndarray, ancilla: int, bit: int) -> tuple[np.ndarray, 
     """Block with the ancilla entering and leaving in the given bit state.
 
     Leakage is the worst column-norm deficit of that block: zero iff the
-    ancilla is restored exactly on every input.
+    ancilla is restored exactly on every input.  Raises ValueError unless
+    0 <= ancilla < N and bit is 0 or 1.
     """
-    idx = np.arange(u.shape[0])
-    keep = idx[((idx >> ancilla) & 1) == bit]
-    block = u[np.ix_(keep, keep)]
-    leakage = max(0.0, 1.0 - float(np.min(np.linalg.norm(block, axis=0))))
+    n = u.shape[0].bit_length() - 1
+    if not 0 <= ancilla < n:
+        raise ValueError(f"ancilla {ancilla} is not a qubit of a {n}-qubit unitary")
+    if bit not in (0, 1):
+        raise ValueError(f"ancilla bit must be 0 or 1, got {bit}")
+    hi, lo = 2 ** (n - ancilla - 1), 2**ancilla
+    # basis index = (high bits, ancilla bit, low bits), for rows and columns;
+    # np.array copies, so the block never aliases u (a reshape alone would
+    # return a view when the ancilla is the top qubit)
+    block = np.array(u.reshape(hi, 2, lo, hi, 2, lo)[:, bit, :, :, bit, :]).reshape(hi * lo, hi * lo)
+    col_sq = np.einsum("ij,ij->j", block.real, block.real) + np.einsum("ij,ij->j", block.imag, block.imag)
+    leakage = max(0.0, 1.0 - float(np.sqrt(np.min(col_sq))))
     return block, leakage
 
 

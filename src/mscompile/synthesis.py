@@ -290,8 +290,10 @@ def extract_angles(
 
     Peels one rotation per degree off the matrix Laurent polynomial (exact
     layer stripping, Haah 2019).  Raises ExtractionError if the train misses
-    the quadruple by more than 1e-9 in operator norm at any angle of a grid
-    of 4*(degree + 1) points (32 at least).
+    the quadruple by more than 1e-9 in operator norm at any angle of the
+    grid theta_j = 2*pi*j/M, M = max(4*(degree + 1), 32).  The miss at
+    2*pi - theta is the miss at theta conjugated by Z, so only
+    j = 0..M/2 are simulated: the other points repeat their norms.
     """
     expected = {EVEN: (a, d), ODD: (b, c)}
     for parity, pair in expected.items():
@@ -312,7 +314,12 @@ def extract_angles(
     phi0 = float(-2.0 * np.angle(g0[0, 0]))
     phis = np.array([phi0] + phis_rev[::-1])
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, max(4 * (degree + 1), 32), endpoint=False)
+    # Z Rx(theta) Z = Rx(-theta) and Z commutes with Rz, so any train has
+    # F(-theta) = Z F(theta) Z; A, D even and B, C odd give the target the
+    # same mirror.  Both sides are 2*pi-periodic (L is even), so
+    # ||miss(2*pi - theta_j)|| = ||miss(theta_j)|| and j <= M/2 covers the grid.
+    m = max(4 * (degree + 1), 32)
+    thetas = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)[: m // 2 + 1]
     targets = _su2_stack(*(s.evaluate(thetas) for s in (a, b, c, d)))
     misses = np.stack([evaluate_plan(phis, t) for t in thetas]) - targets
     worst = float(np.max(norm_2x2(misses)))

@@ -320,6 +320,32 @@ class TestProjectAncilla:
         _, leakage = project_ancilla(u, 2, 0)
         assert leakage == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_gather_reference(self, n):
+        """The strided block equals the index gather bit for bit; the leakage
+        sums squares in another order, so it may differ by rounding."""
+        rng = np.random.default_rng(n)
+        u = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        u /= np.linalg.norm(u, axis=0)  # unit columns, so every block leaks
+        idx = np.arange(2**n)
+        for ancilla in range(n):
+            for bit in (0, 1):
+                keep = idx[((idx >> ancilla) & 1) == bit]
+                want = u[np.ix_(keep, keep)]
+                want_leakage = max(0.0, 1.0 - float(np.min(np.linalg.norm(want, axis=0))))
+                block, leakage = project_ancilla(u, ancilla, bit)
+                np.testing.assert_array_equal(block, want)
+                assert not np.shares_memory(block, u)
+                assert 0.0 < leakage == pytest.approx(want_leakage, rel=0, abs=2**n * np.finfo(float).eps)
+
+    @pytest.mark.parametrize(
+        "ancilla, bit, match",
+        [(3, 0, "ancilla 3"), (7, 0, "ancilla 7"), (-1, 0, "ancilla -1"), (0, 2, "bit"), (0, -1, "bit")],
+    )
+    def test_rejects_invalid_ancilla_or_bit(self, ancilla, bit, match):
+        with pytest.raises(ValueError, match=match):
+            project_ancilla(np.eye(8, dtype=complex), ancilla, bit)
+
 
 class TestBlockStructure:
     def test_compiled_crot_blocks(self):
