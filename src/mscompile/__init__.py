@@ -5,9 +5,7 @@ target qubit, and verify the result by exact statevector simulation."""
 from .series import EVEN, ODD, ParityError, SynthesisError, TrigSeries
 from .subspace import compute_thetas, default_params, phase_reset_ok
 from .fitting import (
-    ConstraintSet,
     FittingError,
-    constraint_set_crot,
     fit_A,
     fit_weight_dependent,
     weighted_params,
@@ -61,9 +59,7 @@ __all__ = [
     "compute_thetas",
     "default_params",
     "phase_reset_ok",
-    "ConstraintSet",
     "FittingError",
-    "constraint_set_crot",
     "fit_A",
     "fit_weight_dependent",
     "weighted_params",

@@ -180,8 +180,9 @@ def complete(a: TrigSeries, b: TrigSeries, d_sign_at_pi: int) -> tuple[TrigSerie
     Factorizes P = 1 - A^2 - B^2 >= 0 as |eta|^2 with real eta on m =
     2^ceil(log2(64*(degree + 1))) circle samples; m is a power of two, so
     no crot or weighted pin lands on the half-step grid.  A sample with
-    P < -1e-9 raises CompletionError, the pipeline's only check that
-    A^2 + B^2 <= 1.  The roots of P on and near the circle are deflated,
+    P < -1e-9 raises CompletionError.  The fitted kinds have
+    A^2 + B^2 <= 1 by construction, so for them this test can fire only
+    through rounding; it stays as the check on caller-built series.  The roots of P on and near the circle are deflated,
     the quotient is fitted by least squares and factored by its real
     cepstrum, and one FFT of the product gives eta, whose odd/even parts
     are C and D.  A normalization miss over 1e-10 raises CompletionError.

@@ -106,3 +106,47 @@ def random_admissible_series(rng, max_degree=8, with_b=False):
     room = np.sqrt(np.maximum(1e-15, 1.0 - a_series.evaluate(grid) ** 2))
     squeeze = np.max(np.abs(b_series.evaluate(grid)) / room) * (1.0 + 10.0 ** rng.uniform(-3, 0))
     return a_series, TrigSeries(ODD, tuple(b / squeeze))
+
+
+def solve_pins(points, degree: int, parity: str) -> np.ndarray:
+    """Coefficients of the cosine/sine series of a degree meeting every pin.
+
+    points holds (theta, value, pin_derivative); the value and derivative
+    pins must number degree + 1 (degree for a sine series, whose k = 0
+    term carries no weight), so the system is square.  This is the linear
+    solve the closed-form fits replace, kept as their oracle.
+    """
+    k = np.arange(0 if parity == EVEN else 1, degree + 1)
+    rows, rhs = [], []
+    for theta, value, pin in points:
+        kt = k * theta
+        rows.append(np.cos(kt) if parity == EVEN else np.sin(kt))
+        rhs.append(value)
+        if pin:
+            rows.append(-k * np.sin(kt) if parity == EVEN else k * np.cos(kt))
+            rhs.append(0.0)
+    coeffs = np.linalg.solve(np.array(rows), np.array(rhs))
+    return coeffs if parity == EVEN else np.concatenate([[0.0], coeffs])
+
+
+def solve_crot_pins(n: int, alpha: float) -> np.ndarray:
+    """Oracle for fit_A: the crot pins folded into [0, pi] by evenness.
+
+    A cosine series is flat at 0 and pi, so only interior points carry a
+    derivative pin; the folded count is n, matching degree n - 1.
+    """
+    folded = [m * np.pi / n for m in sorted({abs(n - 2 - 2 * q) for q in range(n)})]
+    points = [
+        (t, np.cos(alpha / 2.0) if abs(t - np.pi) < 1e-9 else 1.0, 1e-9 < t < np.pi - 1e-9)
+        for t in folded
+    ]
+    return solve_pins(points, n - 1, EVEN)
+
+
+def solve_weighted_pins(thetas, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for fit_weight_dependent: A of degree 2N - 1, B of degree 2N,
+    each with a value and a derivative pin at every theta_q."""
+    n = len(thetas)
+    a = solve_pins([(t, np.cos(x / 2.0), True) for t, x in zip(thetas, alphas)], 2 * n - 1, EVEN)
+    b = solve_pins([(t, -np.sin(x / 2.0), True) for t, x in zip(thetas, alphas)], 2 * n, ODD)
+    return a, b

@@ -1,53 +1,60 @@
 import numpy as np
 import pytest
-from _helpers import series_derivative
+from _helpers import series_derivative, solve_crot_pins, solve_weighted_pins
+from hypothesis import given, settings, strategies as st
 
 from mscompile import (
-    ConstraintSet,
-    FittingError,
-    constraint_set_crot,
     crot_angles,
     fit_A,
     fit_weight_dependent,
     weighted_params,
 )
-from mscompile.fitting import solve_series
-from mscompile.subspace import compute_thetas
+from mscompile.subspace import compute_thetas, default_params
 
 ALPHAS = (0.3, np.pi / 2, np.pi, 2 * np.pi)
+ORACLE_ALPHAS = (1e-9, -1e-9, 1e-6, -1e-6, 1e-4, 0.3, np.pi, 2 * np.pi - 1e-6, 2 * np.pi, -5.94)
+FOUR_K = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
 
 
-def test_constraint_set_n2():
-    cs = constraint_set_crot(2, 1.0)
-    assert cs.degree == 1
-    assert cs.num_constraints == 2
-    points = {round(t, 9): (v, pin) for t, v, pin in cs.points}
-    assert points[0.0] == (pytest.approx(1.0), False)
-    assert points[round(np.pi, 9)] == (pytest.approx(np.cos(0.5)), False)
+def _crot_nodes(n):
+    """The crot nodes folded into [0, pi], ascending."""
+    folded = np.sort(np.abs(np.angle(np.exp(1j * np.array(compute_thetas(n, *default_params(n)))))))
+    return folded[np.append(True, np.diff(folded) > 1e-9)]
 
 
-def test_constraint_set_n7():
-    cs = constraint_set_crot(7, np.pi)
-    assert cs.num_constraints == 7
-    ts = [t for t, _, _ in cs.points]
-    np.testing.assert_allclose(ts, [np.pi / 7, 3 * np.pi / 7, 5 * np.pi / 7, np.pi], atol=1e-9)
-    pins = [t for t, _, pin in cs.points if pin]
-    np.testing.assert_allclose(pins, [np.pi / 7, 3 * np.pi / 7, 5 * np.pi / 7], atol=1e-9)
-    assert dict((round(t, 6), v) for t, v, _ in cs.points)[round(np.pi, 6)] == pytest.approx(0.0)
+def _assert_pins(series, thetas, values, atol):
+    np.testing.assert_allclose(series.evaluate(np.asarray(thetas)), values, rtol=0, atol=atol)
+    np.testing.assert_allclose(series_derivative(series, np.asarray(thetas)), 0.0, rtol=0, atol=atol)
 
 
-def test_constraint_set_n6():
-    cs = constraint_set_crot(6, 0.7)
-    ts = [t for t, _, _ in cs.points]
-    np.testing.assert_allclose(ts, [0.0, np.pi / 3, 2 * np.pi / 3, np.pi], atol=1e-9)
-    pins = [t for t, _, pin in cs.points if pin]
-    np.testing.assert_allclose(pins, [np.pi / 3, 2 * np.pi / 3], atol=1e-9)
-    assert cs.num_constraints == 6
+def test_crot_nodes_n2():
+    np.testing.assert_allclose(_crot_nodes(2), [0.0, np.pi], atol=1e-9)
+    series = fit_A(2, 1.0)
+    assert series.evaluate(0.0) == pytest.approx(1.0, abs=1e-15)
+    assert series.evaluate(np.pi) == pytest.approx(np.cos(0.5), abs=1e-15)
 
 
-def test_constraint_count_identity():
+def test_crot_nodes_n7():
+    np.testing.assert_allclose(
+        _crot_nodes(7), [np.pi / 7, 3 * np.pi / 7, 5 * np.pi / 7, np.pi], atol=1e-9
+    )
+    _assert_pins(fit_A(7, np.pi), _crot_nodes(7), [1.0, 1.0, 1.0, 0.0], atol=1e-14)
+
+
+def test_crot_nodes_n6():
+    np.testing.assert_allclose(
+        _crot_nodes(6), [0.0, np.pi / 3, 2 * np.pi / 3, np.pi], atol=1e-9
+    )
+    _assert_pins(fit_A(6, 0.7), _crot_nodes(6), [1.0, 1.0, 1.0, np.cos(0.35)], atol=1e-14)
+
+
+def test_crot_nodes_equispaced():
+    # the closed form rests on this: N nodes, spacing 2*pi/N, one of them at pi
     for n in range(2, 41):
-        assert constraint_set_crot(n, 1.1).num_constraints == n
+        nodes = np.sort(np.mod(compute_thetas(n, *default_params(n)), 2 * np.pi))
+        np.testing.assert_allclose(np.diff(nodes), 2 * np.pi / n, atol=1e-12)
+        assert np.min(np.abs(nodes - np.pi)) < 1e-12
+        assert fit_A(n, 1.1).degree == n - 1
 
 
 def test_fit_n2_closed_form():
@@ -75,22 +82,80 @@ def test_fit_n7_pi_hits_pins():
 def test_fit_residuals_and_modulus():
     grid = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
     for n in range(2, 13):
+        thetas = compute_thetas(n, *default_params(n))
         for alpha in ALPHAS:
             series = fit_A(n, alpha)
             assert series.degree == n - 1
-            cs = constraint_set_crot(n, alpha)
-            for theta, value, pin in cs.points:
-                assert series.evaluate(theta) == pytest.approx(value, abs=1e-10)
-                if pin:
-                    assert series_derivative(series, theta) == pytest.approx(0.0, abs=1e-10)
+            want = [1.0] * (n - 1) + [np.cos(alpha / 2)]
+            _assert_pins(series, thetas, want, atol=1e-10)
             assert np.max(np.abs(series.evaluate(grid))) <= 1 + 1e-9
 
 
-def test_solve_series_singular():
-    theta = 0.8
-    cs = ConstraintSet(((theta, 1.0, False), (theta, 0.5, False)), degree=1)
-    with pytest.raises(FittingError):
-        solve_series(cs)
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 128, 256])
+def test_fit_A_matches_the_pin_solve(n):
+    for alpha in ORACLE_ALPHAS:
+        got = fit_A(n, alpha).coeffs
+        np.testing.assert_allclose(got, solve_crot_pins(n, alpha), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_fit_weight_dependent_matches_the_pin_solve(n):
+    rng = np.random.default_rng(1100 + n)
+    thetas = compute_thetas(n, *weighted_params(n))
+    profiles = [rng.uniform(-np.pi, np.pi, n), rng.uniform(-2 * np.pi, 2 * np.pi, n)]
+    profiles += [0.7 + 1e-6 * rng.normal(size=n), 1e-6 * rng.normal(size=n)]
+    for alphas in profiles:
+        a, b = fit_weight_dependent(n, alphas)
+        want_a, want_b = solve_weighted_pins(thetas, alphas)
+        np.testing.assert_allclose(a.coeffs, np.append(want_a, 0.0), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(b.coeffs, want_b, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [1e-9, -1e-7, 1e-6])
+def test_dips_keep_full_relative_precision_at_small_angles(alpha):
+    # the dip 1 - A(t_j) is alpha^2/8 to relative 2e-14 here; forming it as
+    # 1 - cos(alpha/2) would lose every digit at alpha = 1e-9
+    kappa = alpha**2 / 8
+    for n in (2, 7, 64):
+        k = np.arange(1, n)
+        want = -kappa * 2 * (1 - k / n) / n * (-1.0) ** k  # A - 1 = -kappa * F_N(theta - pi)
+        np.testing.assert_allclose(fit_A(n, alpha).coeffs[1:], want, rtol=1e-12, atol=0)
+        k = np.arange(1, 2 * n)
+        theta_0 = compute_thetas(n, *weighted_params(n))[0]
+        want = -kappa * 4 * (1 - k / (2 * n)) / (2 * n) * np.cos(k * theta_0)  # dips at +-theta_0
+        a, _ = fit_weight_dependent(n, [alpha] + [0.0] * (n - 1))
+        np.testing.assert_allclose(a.coeffs[1:-1], want, rtol=0, atol=1e-12 * kappa)
+
+
+_SIGNED_LOG_ANGLE = st.tuples(
+    st.floats(-9, float(np.log10(2 * np.pi))), st.sampled_from((-1.0, 1.0))
+).map(lambda p: p[1] * 10.0 ** p[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.one_of(st.integers(2, 40), st.sampled_from((64, 128, 256))), alpha=_SIGNED_LOG_ANGLE)
+def test_crot_fit_meets_every_pin_and_stays_in_the_unit_disk(n, alpha):
+    a = fit_A(n, alpha)
+    thetas = compute_thetas(n, *default_params(n))
+    _assert_pins(a, thetas, [1.0] * (n - 1) + [np.cos(alpha / 2)], atol=1e-13 * n)
+    assert np.max(a.evaluate(FOUR_K) ** 2) <= 1 + 1e-13
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 32),
+    alpha=_SIGNED_LOG_ANGLE,
+    spread=st.lists(_SIGNED_LOG_ANGLE, min_size=32, max_size=32),
+    near_uniform=st.booleans(),
+)
+def test_weighted_fit_meets_every_pin_and_stays_in_the_unit_disk(n, alpha, spread, near_uniform):
+    spread = np.array(spread[:n])
+    alphas = alpha + 1e-6 * spread if near_uniform else spread
+    a, b = fit_weight_dependent(n, alphas)
+    thetas = compute_thetas(n, *weighted_params(n))
+    _assert_pins(a, thetas, np.cos(alphas / 2), atol=1e-13 * n)
+    _assert_pins(b, thetas, -np.sin(alphas / 2), atol=1e-13 * n)
+    assert np.max(a.evaluate(FOUR_K) ** 2 + b.evaluate(FOUR_K) ** 2) <= 1 + 1e-13
 
 
 def test_gate_target_validation():

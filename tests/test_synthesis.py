@@ -201,6 +201,7 @@ class TestCrotAngles:
         cases = [(3, -np.pi), (4, 0.3), (5, 2 * np.pi), (10, -0.001)]
         cases += [(12, 0.0019827690549103494), (48, np.pi), (64, 2 * np.pi - 0.05)]
         cases += [(10, 2 * np.pi), (10, 2 * np.pi - 1e-4)]  # just outside the band that raises
+        cases += [(64, 1e-4), (64, -1e-4), (96, 1e-4)]  # the pin solve's rounding failed these
         for n, alpha in cases:
             plan = crot_angles(n, alpha)
             thetas = compute_thetas(n, plan.tau, plan.h)
