@@ -14,7 +14,6 @@ from .synthesis import (
     CompilationPlan,
     CompletionError,
     ExtractionError,
-    complete,
     crot_angles,
     evaluate_plan,
     extract_angles,
@@ -66,7 +65,6 @@ __all__ = [
     "CompilationPlan",
     "CompletionError",
     "ExtractionError",
-    "complete",
     "crot_angles",
     "evaluate_plan",
     "extract_angles",

@@ -32,7 +32,8 @@ class FittingError(SynthesisError):
     """A fit missed its pins.
 
     No fit raises it any more: both fits are closed-form sums.  The class
-    stays so that callers catching it keep working.
+    stays because the benchmark's workload module (perfbench/workloads.py)
+    imports it from here to classify synthesis failures.
     """
 
 

@@ -6,9 +6,10 @@ The pulse train acts on each control subspace as
 
 with the j = L factor applied first in time, matching the emitted circuit.
 Writing F = A*1 + i(B*X + C*Y + D*Z) gives four trig series of degree L/2.
-Compilation runs the reverse direction: given admissible A and B, build a
-normalized quadruple (``complete``) and peel off the angles one degree at a
-time (``extract_angles``).
+Compilation runs the reverse direction: each gate kind fits A and B, forms
+P = 1 - A^2 - B^2 and its zeros in closed form, completes them to a
+normalized quadruple (``complete``), and peels off the angles one degree
+at a time (``extract_angles``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .series import EVEN, ODD, SynthesisError, TrigSeries, to_laurent
 from .fitting import fit_A, fit_weight_dependent, weighted_params
 from .su2 import canonical_angle, norm_2x2, rx, rz
-from .subspace import default_params, phase_reset_ok
+from .subspace import compute_thetas, default_params, phase_reset_ok
 
 log = logging.getLogger(__name__)
 
@@ -103,145 +104,70 @@ def _coefficients(values: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return np.fft.fft(values)[freqs % m] * np.exp(-1j * np.pi * freqs / m) / m
 
 
-def _near_zeros(p: np.ndarray, p_hat: np.ndarray) -> np.ndarray:
-    """Roots of P = 1 - A^2 - B^2 on and near the unit circle, |z| <= 1.
+def _completion_grid(degree: int) -> np.ndarray:
+    """The half-step grid of m = 2^ceil(log2(64*(degree + 1))) points.
 
-    p holds P on the half-step grid and p_hat its Laurent coefficients
-    0..span.  Newton on P' = 0 starts at every local minimum of the samples.
-    A minimum at t with P(t) <= 1e-12 is a double zero z = exp(i*t) on the
-    circle (the pins, and pi at alpha = +-2*pi).  Above that, complex Newton
-    on P = 0 finds the nearby root pair z, 1/conj(z); the inside one is kept.
+    m is a power of two, so no crot or weighted node, and not pi, lands on it.
     """
-    k = np.arange(p_hat.size)
-    cos_coeffs = np.where(k > 0, 2.0, 1.0) * p_hat
-
-    def taylor(t):
-        """P, P' and P'' at t (real or complex)."""
-        kt = np.multiply.outer(t, k)
-        cos, sin = np.cos(kt), np.sin(kt)
-        return cos @ cos_coeffs, -(sin * k) @ cos_coeffs, -(cos * k**2) @ cos_coeffs
-
-    def newton(t, order):
-        """Zeros of P (order 0) or of P' (order 1), from starts t."""
-        for _ in range(12):
-            values = taylor(t)
-            step = values[order] / values[order + 1]
-            t = t - step
-            if np.all(np.abs(step) <= 1e-12):
-                break
-        return t
-
-    starts = (p < np.roll(p, 1)) & (p <= np.roll(p, -1))
-    with np.errstate(all="ignore"):  # starts that diverge are dropped below
-        t = newton(_grid(p.size)[starts], 1)
-        depth, _, curvature = taylor(t)
-        t, depth, curvature = t[curvature > 0], depth[curvature > 0], curvature[curvature > 0]
-        near = depth > 1e-12
-        w = newton(t[near] + 1j * np.sqrt(2.0 * depth[near] / curvature[near]), 0)
-        w = w[np.abs(taylor(w)[0]) <= 1e-12]
-    roots = np.exp(1j * np.concatenate([t[~near], w.real + 1j * np.abs(w.imag)]))
-    # two starts can converge to one root
-    close = np.abs(roots[:, None] - roots[None, :]) < 1e-6
-    return roots[~np.any(np.tril(close, -1), axis=1)]
+    return _grid(1 << int(np.ceil(np.log2(64 * (degree + 1)))))
 
 
-def _deflation(roots: np.ndarray, m: int) -> np.ndarray:
-    """prod_r (1 - r/z) on the half-step grid, z = exp(i*theta).
+def _fejer(order: int, x: np.ndarray) -> np.ndarray:
+    """F_M(x) = |(1/M) sum_{k<M} exp(ikx)|^2 = (sin(Mx/2) / (M sin(x/2)))^2.
 
-    Kept as samples: expanding the product into coefficients cancels
-    catastrophically once many roots share one half of the circle.
+    The product of sines keeps full relative precision near the double
+    zeros x = 2*pi*k/M, k != 0.  x must avoid multiples of 2*pi.
     """
-    inv_z = np.exp(-1j * _grid(m))
-    out = np.ones(m, dtype=complex)
-    for r in roots:
-        out *= 1.0 - r * inv_z
-    return out
+    return (np.sin(order * x / 2.0) / (order * np.sin(x / 2.0))) ** 2
 
 
-def _factor(q: np.ndarray, deflation: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Coefficients lo..hi of eta with |eta|^2 = Q * |deflation|^2 on the circle.
+def complete(p: np.ndarray, roots: np.ndarray, degree: int, d_sign_at_pi: int) -> tuple[TrigSeries, TrigSeries]:
+    """Odd C and even D of the given degree with C^2 + D^2 = P on the circle.
 
-    Works on the grid of the deflation samples.  Q (cosine coefficients q)
-    is factored by its real cepstrum into the minimum-phase H (analytic in
-    1/z, H(inf) > 0), and eta = z^hi * H * deflation.
+    p holds P = 1 - A^2 - B^2 >= 0, a cosine series of degree 2*degree, on
+    the half-step grid; roots holds its zeros on and near the circle, the
+    inside one r of each pair r, 1/conj(r).  The roots are deflated
+    pointwise: Q = P / |prod_r (1 - r/z)|^2 is factored by its real
+    cepstrum into the minimum-phase H (analytic in 1/z, H(inf) > 0), and
+    one FFT of eta = z^degree * H * prod_r (1 - r/z) gives eta's
+    coefficients, whose odd/even parts are C and D (Fejer-Riesz; after
+    Berntson & Sunderhauf, "Complementary polynomials in quantum signal
+    processing", 2024).  A normalization miss over 1e-10 raises
+    CompletionError.  C and D are negated together when
+    sign(D(pi)) = -d_sign_at_pi; that flip maps realizable quadruples to
+    realizable ones.
     """
-    m = deflation.size
-    half = np.arange(m // 2)
-    qv = _samples(q, np.arange(q.size), m).real
-    cep = _coefficients(np.log(np.maximum(qv, 1e-30 * np.max(qv))), half).real
-    cep[0] *= 0.5
-    values = np.exp(_samples(cep, -half, m) + 1j * hi * _grid(m)) * deflation
-    return _coefficients(values, np.arange(lo, hi + 1)).real
-
-
-def complete(a: TrigSeries, b: TrigSeries, d_sign_at_pi: int) -> tuple[TrigSeries, TrigSeries]:
-    """Find odd C and even D with A^2 + B^2 + C^2 + D^2 = 1 on the circle.
-
-    Factorizes P = 1 - A^2 - B^2 >= 0 as |eta|^2 with real eta on m =
-    2^ceil(log2(64*(degree + 1))) circle samples; m is a power of two, so
-    no crot or weighted pin lands on the half-step grid.  A sample with
-    P < -1e-9 raises CompletionError.  The fitted kinds have
-    A^2 + B^2 <= 1 by construction, so for them this test can fire only
-    through rounding; it stays as the check on caller-built series.  The roots of P on and near the circle are deflated,
-    the quotient is fitted by least squares and factored by its real
-    cepstrum, and one FFT of the product gives eta, whose odd/even parts
-    are C and D.  A normalization miss over 1e-10 raises CompletionError.
-    The sign of D(pi), when nonzero, is flipped (together with C) to match
-    d_sign_at_pi; that flip maps realizable quadruples to realizable ones.
-    """
-    if a.parity != EVEN or b.parity != ODD:
-        raise ValueError("complete() expects an even A and an odd B")
     if d_sign_at_pi not in (+1, -1):
         raise ValueError("d_sign_at_pi must be +1 or -1")
-    degree = max(a.degree, b.degree)
     ks = np.arange(degree + 1)
-
-    m = 1 << int(np.ceil(np.log2(64 * (degree + 1))))
-    p = 1.0 - _samples(a.coeffs, ks[: a.degree + 1], m).real ** 2
-    p -= _samples(b.coeffs, ks[: b.degree + 1], m).imag ** 2
-    overshoot = -float(np.min(p))
-    if not overshoot <= 1e-9:  # a NaN fails too
-        raise CompletionError(
-            f"A^2 + B^2 exceeds 1 by {overshoot:.3e}: "
-            "the requested weight profile is not normalizable at this degree"
-        )
-
-    p_hat = _coefficients(p, np.arange(2 * degree + 1)).real
-    scale = float(np.max(np.abs(p_hat)))
-    if scale < 1e-14:  # A^2 + B^2 is already 1 everywhere
+    if np.max(p) < np.finfo(float).tiny:  # P is 0 or subnormal: C, D < 1.5e-154
         return TrigSeries.zero(ODD, degree), TrigSeries.zero(EVEN, degree)
-    span = int(np.flatnonzero(np.abs(p_hat) >= 1e-12 * scale)[-1])  # Laurent degree of P
 
-    roots = _near_zeros(p, p_hat[: span + 1])
-    if roots.size > span:
-        raise CompletionError(f"{roots.size} roots to deflate exceed the degree {span} of P")
-    deflation = _deflation(roots, m)
-    # Q = P / |deflation|^2 by least squares on P over all samples: dividing
-    # pointwise fails where P is at rounding level near its zeros
-    basis = np.cos(np.multiply.outer(_grid(m), np.arange(span - roots.size + 1)))
-    q, *_ = np.linalg.lstsq(np.abs(deflation[:, None]) ** 2 * basis, p, rcond=None)
-
-    # center the factor on exponents -floor(span/2)..span - floor(span/2)
-    lo = -(span // 2)
-    hi = span + lo
-    eta = np.zeros(2 * degree + 1)
-    eta[lo + degree : hi + degree + 1] = _factor(q, deflation, lo, hi)
+    m = p.size
+    theta = _grid(m)
+    inv_z = np.exp(-1j * theta)
+    # kept as samples: expanding the product into coefficients cancels
+    # catastrophically once many roots share one half of the circle
+    deflation = np.ones(m, dtype=complex)
+    for r in roots:
+        deflation *= 1.0 - r * inv_z
+    half = np.arange(m // 2)
+    cep = _coefficients(np.log(p / np.abs(deflation) ** 2), half).real
+    cep[0] *= 0.5
+    values = np.exp(_samples(cep, -half, m) + 1j * degree * theta) * deflation
+    eta = _coefficients(values, np.arange(-degree, degree + 1)).real
     c_coeffs = np.concatenate([[0.0], eta[degree + ks[1:]] - eta[degree - ks[1:]]])
     d_coeffs = np.concatenate([[eta[degree]], eta[degree + ks[1:]] + eta[degree - ks[1:]]])
     cd2 = _samples(c_coeffs, ks, m).imag ** 2 + _samples(d_coeffs, ks, m).real ** 2
     resid = float(np.max(np.abs(cd2 - p)))
     log.debug("completion residual %.3e (degree %d, %d deflated zeros, m = %d)",
-              resid, degree, roots.size, m)
+              resid, degree, len(roots), m)
     if not resid <= NORMALIZATION_TOL:  # a NaN fails too
         raise CompletionError(f"normalization residual {resid:.3e} exceeds {NORMALIZATION_TOL}")
 
-    c = TrigSeries(ODD, tuple(c_coeffs))
-    d = TrigSeries(EVEN, tuple(d_coeffs))
-    d_pi = d.evaluate(np.pi)
-    if abs(d_pi) > 1e-9 and np.sign(d_pi) != d_sign_at_pi:
-        c = TrigSeries(ODD, tuple(-np.asarray(c.coeffs)))
-        d = TrigSeries(EVEN, tuple(-np.asarray(d.coeffs)))
-    return c, d
+    if np.sign(d_coeffs @ np.cos(np.pi * ks)) == -d_sign_at_pi:
+        c_coeffs, d_coeffs = -c_coeffs, -d_coeffs
+    return TrigSeries(ODD, tuple(c_coeffs)), TrigSeries(EVEN, tuple(d_coeffs))
 
 
 def _step_projectors(phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +188,7 @@ def _peel(gcoef: np.ndarray, num_pulses: int) -> list[float]:
     offset = num_pulses
     while ell >= 1:
         lead = gcoef[offset + ell]
-        if np.linalg.norm(lead) <= 1e-8 * scale:
+        if np.linalg.norm(lead) <= 1e-13 * scale:
             # true degree is lower: the two rightmost steps form an identity
             # pair Rx(-theta) Rx(theta), i.e. (phi_{ell-1}, phi_ell) = (pi, 0)
             phis_rev.extend([0.0, np.pi])
@@ -343,21 +269,79 @@ def pad_for_phase_reset(plan: CompilationPlan) -> CompilationPlan:
     return CompilationPlan(plan.n, plan.tau, plan.h, phis)
 
 
+def _pole_depth(n: int, alpha: float) -> float:
+    """y >= 0 with 1 + A = 0 at z0 = -exp(-y), the inside zero near pi.
+
+    1 + A = 2 cos^2(alpha/4) + kappa * (1 - F_N(theta - pi)), and at
+    theta = pi + i*y, F_N - 1 = (4/N^2) sum_{k<N} (N - k) sinh^2(k*y/2).  So
+    y solves S(y) = cot^2(alpha/4), with no term cancelling.  S is convex
+    and increasing, so Newton descends from the bound where the k = N - 1
+    term alone reaches cot^2(alpha/4), and stops once a step no longer
+    lowers y.  alpha = 0, or an alpha so small that cot^2 overflows, gives
+    y = inf (z0 = 0); there P <= 2.3e-308, so C and D are below 1.6e-154
+    whatever is deflated.
+    """
+    k = np.arange(1, n)
+    weights = 4.0 * (n - k) / n**2
+    with np.errstate(all="ignore"):
+        cot2 = 1.0 / np.tan(alpha / 4.0) ** 2
+        y = 2.0 * np.arcsinh(n * np.sqrt(cot2) / 2.0) / (n - 1)
+        while True:
+            s = np.sinh(k * y / 2.0)
+            step = (weights @ s**2 - cot2) / (weights @ (k * s * np.cosh(k * y / 2.0)))
+            if not (step > 0.0 and y - step < y):  # converged, stalled or NaN
+                return float(y)
+            y -= step
+
+
 def _crot_quadruple(n: int, alpha: float) -> tuple[TrigSeries, TrigSeries, TrigSeries, TrigSeries]:
     """Normalized (A, B, C, D) of the controlled rotation: fitted A, zero B.
 
+    A = 1 - kappa*G with kappa = 2 sin^2(alpha/4) and G = F_N(theta - pi),
+    so P = 1 - A^2 = kappa * G * (2 cos^2(alpha/4) + kappa*(1 - G)), a
+    product of non-negative factors.  1 - G >= 3.8e-5 on the grid, so its
+    subtraction keeps 11 digits.  P's zeros near the circle are G's double
+    zeros at the N - 1 unused-weight nodes and the pair of 1 + A near pi
+    (``_pole_depth``), which is deflated at every alpha.
+
     The controlled block is A(pi) + i*D(pi)*Z, so it is Rz(alpha) iff
     D(pi) = -sin(alpha/2).  A miss over RECONSTRUCTION_TOL raises
-    CompletionError: near alpha = 2*pi*k, P(pi) = sin^2(alpha/2) can sit
-    at the rounding level where completion takes it for a zero.
+    CompletionError.
     """
     a = fit_A(n, alpha)
     b = TrigSeries.zero(ODD)
+    kappa = 2.0 * np.sin(alpha / 4.0) ** 2
+    g = _fejer(n, _completion_grid(n - 1) - np.pi)
+    p = kappa * g * (2.0 * np.cos(alpha / 4.0) ** 2 + kappa * (1.0 - g))
+    nodes = np.array(compute_thetas(n, *default_params(n))[:-1])  # theta_{N-1} = -pi
+    roots = np.append(np.exp(1j * nodes), -np.exp(-_pole_depth(n, alpha)))
     sin_half = np.sin(alpha / 2.0)
-    c, d = complete(a, b, -1 if sin_half > 0 else +1)
+    c, d = complete(p, roots, n - 1, -1 if sin_half > 0 else +1)
     miss = abs(d.evaluate(np.pi) + sin_half)
     if not miss <= RECONSTRUCTION_TOL:
         raise CompletionError(f"controlled block misses Rz(alpha) by {miss:.3e} (D(pi) + sin(alpha/2))")
+    return a, b, c, d
+
+
+def _weighted_quadruple(n: int, alphas) -> tuple[TrigSeries, TrigSeries, TrigSeries, TrigSeries]:
+    """Normalized (A, B, C, D) applying Rx(alphas[q]) at control weight q.
+
+    A + iB = sum_j F_j w_j with F_j = F_2N(theta - t_j) at the 2N nodes
+    t_j = +-theta_q and w_j = exp(-+i*alphas[q]/2).  Since sum_j F_j = 1
+    and |w_j| = 1, P = 1 - A^2 - B^2 = 1/2 sum_{j,l} F_j F_l |w_j - w_l|^2,
+    a sum of non-negative terms, with |w_j - w_l| formed from the angle
+    differences.  Its zeros near the circle are the double zeros at the
+    nodes.
+    """
+    a, b = fit_weight_dependent(n, alphas)
+    thetas = np.array(compute_thetas(n, *weighted_params(n)))
+    nodes = np.concatenate([thetas, -thetas])
+    alphas = np.asarray(alphas, dtype=float)
+    phases = np.concatenate([-alphas, alphas]) / 2.0  # w_j = exp(i*phases[j])
+    fejer = _fejer(2 * n, np.subtract.outer(_completion_grid(2 * n), nodes))
+    gaps = 4.0 * np.sin(np.subtract.outer(phases, phases) / 2.0) ** 2
+    p = 0.5 * np.einsum("ij,ij->i", fejer, fejer @ gaps)
+    c, d = complete(p, np.exp(1j * nodes), 2 * n - 1, +1)
     return a, b, c, d
 
 
@@ -376,8 +360,7 @@ def crot_angles(n: int, alpha: float) -> CompilationPlan:
 
 def weighted_angles(n: int, alphas) -> CompilationPlan:
     """Angle sequence applying Rx(alphas[q]) at control weight q (4N pulses)."""
-    a, b = fit_weight_dependent(n, alphas)
-    c, d = complete(a, b, +1)
+    a, b, c, d = _weighted_quadruple(n, alphas)
     phis = extract_angles(a, b, c, d, 2 * n)
     tau, h = weighted_params(n)
     plan = CompilationPlan(n, tau, h, phis)

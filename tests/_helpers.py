@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.linalg import expm
 
-from mscompile import EVEN, ODD, Circuit, TrigSeries
+from mscompile import EVEN, ODD, Circuit, CompilationPlan, TrigSeries, compute_thetas, evaluate_plan
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -91,21 +91,20 @@ def series_from_samples(values: np.ndarray, degree: int, parity: str) -> TrigSer
     return TrigSeries(parity, tuple(coeffs))
 
 
-def random_admissible_series(rng, max_degree=8, with_b=False):
-    """Random (A, B) with max(A^2 + B^2) safely below 1 on the circle."""
-    deg = int(rng.integers(1, max_degree + 1))
-    grid = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
-    a = np.asarray(rng.normal(size=deg + 1))
-    a_series = TrigSeries(EVEN, tuple(a))
-    margin = 1.0 + 10.0 ** rng.uniform(-3, 0)
-    a_series = TrigSeries(EVEN, tuple(a / (np.max(np.abs(a_series.evaluate(grid))) * margin)))
-    if not with_b:
-        return a_series, TrigSeries.zero("odd")
-    b = np.concatenate([[0.0], rng.normal(size=deg)])
-    b_series = TrigSeries(ODD, tuple(b))
-    room = np.sqrt(np.maximum(1e-15, 1.0 - a_series.evaluate(grid) ** 2))
-    squeeze = np.max(np.abs(b_series.evaluate(grid)) / room) * (1.0 + 10.0 ** rng.uniform(-3, 0))
-    return a_series, TrigSeries(ODD, tuple(b / squeeze))
+def crot_targets(n: int, alpha: float) -> list[np.ndarray]:
+    """Target block per control weight of C^(N-1) Rz(alpha): Rz at q = N - 1, else 1."""
+    return [np.eye(2)] * (n - 1) + [np.diag(np.exp([-0.5j * alpha, 0.5j * alpha]))]
+
+
+def weighted_targets(alphas) -> list[np.ndarray]:
+    """Target block Rx(alphas[q]) per control weight q."""
+    return [expm(-0.5j * a * X2) for a in alphas]
+
+
+def node_block_miss(plan: CompilationPlan, targets) -> float:
+    """Largest operator-norm miss of the train at theta_q from targets[q]."""
+    thetas = compute_thetas(plan.n, plan.tau, plan.h)
+    return max(np.linalg.norm(evaluate_plan(plan.phis, t) - u, ord=2) for t, u in zip(thetas, targets))
 
 
 def solve_pins(points, degree: int, parity: str) -> np.ndarray:

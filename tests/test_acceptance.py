@@ -13,16 +13,12 @@ from _helpers import dense_ms
 from mscompile import (
     Circuit,
     Gate,
-    TrigSeries,
     build_crot_circuit,
     build_from_merged,
     build_toffoli_circuit,
     circuit_unitary,
-    complete,
     control_blocks,
     crot_angles,
-    fit_A,
-    fit_weight_dependent,
     ideal_crot,
     ideal_toffoli,
     max_off_block,
@@ -31,6 +27,7 @@ from mscompile import (
     weighted_angles,
 )
 from mscompile.su2 import rx
+from mscompile.synthesis import _crot_quadruple, _weighted_quadruple
 
 PI = np.pi
 SWEEP_ALPHAS = (0.3, PI / 2, PI, 2 * PI)
@@ -100,14 +97,8 @@ def test_criterion_3_toffoli():
 def test_criterion_4_normalization_and_parity():
     grid = np.linspace(0.0, 2.0 * PI, 1024, endpoint=False)
     worst_norm = worst_parity = 0.0
-    quadruples = []
-    for n in range(2, 11):
-        for alpha in SWEEP_ALPHAS:
-            a = fit_A(n, alpha)
-            b = TrigSeries.zero("odd")
-            quadruples.append((a, b, *complete(a, b, -1)))
-    a, b = fit_weight_dependent(3, (0.4, 1.1, 2.0))
-    quadruples.append((a, b, *complete(a, b, +1)))
+    quadruples = [_crot_quadruple(n, alpha) for n in range(2, 11) for alpha in SWEEP_ALPHAS]
+    quadruples.append(_weighted_quadruple(3, (0.4, 1.1, 2.0)))
     for a, b, c, d in quadruples:
         total = a(grid) ** 2 + b(grid) ** 2 + c(grid) ** 2 + d(grid) ** 2
         worst_norm = max(worst_norm, float(np.max(np.abs(total - 1.0))))

@@ -58,9 +58,12 @@ class TestCrotAngles:
         assert main(["crot-angles", "--n", "40", "--alpha", "pi"]) == 0
         assert "L = 80" in capsys.readouterr().out
 
-    def test_controlled_block_miss_exits_2(self, capsys):
-        assert main(["crot-angles", "--n", "10", "--alpha", "6.283184307179586"]) == 2
-        assert "controlled block misses" in capsys.readouterr().err
+    def test_near_2pi_crot_compiles_and_verifies(self, tmp_path):
+        # 1e-6 below 2*pi: completion once took P(pi) for a zero here (exit 2)
+        path = tmp_path / "near2pi.json"
+        alpha = ["--alpha", "6.283184307179586"]
+        assert main(["compile", "--kind", "crot", "--n", "10", *alpha, "--out", str(path)]) == 0
+        assert main(["verify", "--circuit", str(path), "--target", "crot", "--n", "10", *alpha]) == 0
 
     def test_identity_alpha_gives_identity_plan(self, tmp_path, capsys):
         assert main(["crot-angles", "--n", "2", "--alpha", "0"]) == 0

@@ -1,46 +1,59 @@
-"""Property tests: compile any crot angle, complete any admissible (A, B),
-and the theta -> -theta mirror that lets extraction check half its grid."""
+"""Property tests: compile any crot angle and any near-uniform weighted
+profile, normalize any quadruple, and the theta -> -theta mirror that lets
+extraction check half its grid."""
 
 import numpy as np
 import pytest
-from _helpers import quadruple_matrix, random_admissible_series
+from _helpers import crot_targets, node_block_miss, quadruple_matrix, weighted_targets
 from hypothesis import given, settings, strategies as st
 
 from mscompile import (
-    ODD,
     ExtractionError,
     TrigSeries,
-    complete,
     crot_angles,
     evaluate_plan,
     extract_angles,
-    fit_A,
-    fit_weight_dependent,
+    weighted_angles,
 )
 from mscompile import synthesis
-from mscompile.su2 import norm_2x2, rz
-from mscompile.subspace import compute_thetas
+from mscompile.su2 import norm_2x2
+from mscompile.synthesis import _crot_quadruple, _weighted_quadruple
 
 GRID = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_crot_blocks_match_for_any_angle(n, seed):
+    """alpha log-uniform from 1e-9 to pi away from 0 or +-2*pi, either side."""
+    rng = np.random.default_rng(seed)
+    offset = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, np.log10(np.pi))
+    alpha = rng.choice([0.0, 2 * np.pi, -2 * np.pi]) + offset
+    assert node_block_miss(crot_angles(n, alpha), crot_targets(n, alpha)) <= 1e-9
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
 @given(
     n=st.integers(2, 16),
-    alpha=st.floats(-2 * np.pi, 2 * np.pi, exclude_min=True),
+    base=st.one_of(st.floats(-np.pi, np.pi), st.sampled_from([2 * np.pi, -2 * np.pi])),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_crot_blocks_match_for_any_angle(n, alpha):
-    plan = crot_angles(n, alpha)
-    for q, theta in enumerate(compute_thetas(n, plan.tau, plan.h)):
-        want = rz(alpha) if q == n - 1 else np.eye(2)
-        np.testing.assert_allclose(evaluate_plan(plan.phis, theta), want, atol=1e-9)
+def test_weighted_blocks_match_for_near_uniform_profiles(n, base, seed):
+    """Profiles base + 10^U(-9, 0) * noise, near uniform or near 2*pi."""
+    rng = np.random.default_rng(seed)
+    alphas = base + 10.0 ** rng.uniform(-9.0, 0.0) * rng.uniform(-1.0, 1.0, n)
+    assert node_block_miss(weighted_angles(n, alphas), weighted_targets(alphas)) <= 1e-9
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), with_b=st.booleans())
-def test_completion_is_normalized(seed, with_b):
-    a, b = random_admissible_series(np.random.default_rng(seed), max_degree=8, with_b=with_b)
-    c, d = complete(a, b, +1)
+@given(seed=st.integers(0, 2**32 - 1), weighted=st.booleans())
+def test_completion_is_normalized(seed, weighted):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    if weighted:
+        a, b, c, d = _weighted_quadruple(n, rng.uniform(-np.pi, np.pi, n))
+    else:
+        a, b, c, d = _crot_quadruple(n, rng.uniform(-2 * np.pi, 2 * np.pi))
     total = a(GRID) ** 2 + b(GRID) ** 2 + c(GRID) ** 2 + d(GRID) ** 2
     assert np.max(np.abs(total - 1)) < 1e-10
 
@@ -65,12 +78,10 @@ def _quadruples():
     rng = np.random.default_rng(10)
     for n in (2, 3, 5, 8, 12):
         for alpha in (np.pi, 0.3, rng.uniform(-2 * np.pi, 2 * np.pi)):
-            a, b = fit_A(n, alpha), TrigSeries.zero(ODD)
-            yield (a, b, *complete(a, b, -1 if np.sin(alpha / 2) > 0 else +1)), n - 1
+            yield _crot_quadruple(n, alpha), n - 1
     for n in (2, 3, 4, 6):
         for _ in range(3):
-            a, b = fit_weight_dependent(n, rng.uniform(-np.pi, np.pi, n))
-            yield (a, b, *complete(a, b, +1)), 2 * n
+            yield _weighted_quadruple(n, rng.uniform(-np.pi, np.pi, n)), 2 * n
 
 
 def test_half_grid_finds_the_full_grid_maximum():
@@ -105,8 +116,7 @@ def test_check_simulates_every_grid_point_or_its_mirror(monkeypatch):
 @pytest.mark.parametrize("which", range(4))
 def test_quadruple_off_normalization_is_an_extraction_error(which):
     """A 1e-6 change to one coefficient of A, B, C or D is caught on the half grid."""
-    a, b = fit_weight_dependent(4, [0.4, -1.1, 2.1, -0.6])
-    quad = [a, b, *complete(a, b, +1)]
+    quad = list(_weighted_quadruple(4, [0.4, -1.1, 2.1, -0.6]))
     s = quad[which]
     coeffs = np.array(s.coeffs)
     coeffs[-1] += 1e-6

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from _helpers import pauli_components, quadruple_matrix, random_admissible_series, series_from_samples
+from _helpers import (
+    crot_targets,
+    node_block_miss,
+    pauli_components,
+    quadruple_matrix,
+    series_from_samples,
+    weighted_targets,
+)
 
 from mscompile import (
     EVEN,
@@ -10,7 +17,6 @@ from mscompile import (
     TrigSeries,
     build_crot_circuit,
     circuit_unitary,
-    complete,
     crot_angles,
     evaluate_plan,
     extract_angles,
@@ -20,7 +26,9 @@ from mscompile import (
     phase_reset_ok,
     weighted_angles,
 )
+from mscompile import synthesis
 from mscompile.su2 import norm_2x2, rx, rz
+from mscompile.synthesis import _crot_quadruple, _weighted_quadruple
 
 GRID = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
 
@@ -64,40 +72,38 @@ class TestEvaluatePlan:
 
 class TestComplete:
     def test_trivial_quadruple(self):
-        a = TrigSeries(EVEN, (1.0,))
-        b = TrigSeries.zero("odd")
-        c, d = complete(a, b, +1)
-        np.testing.assert_allclose(c.evaluate(GRID), 0.0, atol=1e-14)
-        np.testing.assert_allclose(d.evaluate(GRID), 0.0, atol=1e-14)
+        # P = 0, or so small that it underflows on part of the grid
+        quads = [_crot_quadruple(4, 0.0), _weighted_quadruple(3, [0.0] * 3)]
+        quads += [_crot_quadruple(4, 1e-160), _weighted_quadruple(3, [1e-160, 0.0, 0.0])]
+        for _, _, c, d in quads:
+            np.testing.assert_allclose(c.evaluate(GRID), 0.0, atol=1e-14)
+            np.testing.assert_allclose(d.evaluate(GRID), 0.0, atol=1e-14)
 
     def test_n2_pi_has_unit_d_at_pi(self):
-        a = TrigSeries(EVEN, (0.5, 0.5))  # fit for N=2, alpha=pi
-        c, d = complete(a, TrigSeries.zero("odd"), -1)
-        assert abs(d.evaluate(np.pi)) == pytest.approx(1.0, abs=1e-12)  # sin(pi/2)
-        assert d.evaluate(np.pi) == pytest.approx(-1.0, abs=1e-12)
+        _, _, _, d = _crot_quadruple(2, np.pi)
+        assert d.evaluate(np.pi) == pytest.approx(-1.0, abs=1e-12)  # -sin(pi/2)
 
     def test_branch_sign_flip(self):
-        a = TrigSeries(EVEN, (0.5, 0.5))
-        _, d_minus = complete(a, TrigSeries.zero("odd"), -1)
-        _, d_plus = complete(a, TrigSeries.zero("odd"), +1)
+        a_minus, _, c_minus, d_minus = _crot_quadruple(2, np.pi)
+        a_plus, _, c_plus, d_plus = _crot_quadruple(2, -np.pi)
+        assert a_minus == a_plus
         assert d_minus.evaluate(np.pi) == pytest.approx(-d_plus.evaluate(np.pi), abs=1e-12)
-
-    def test_rejects_inadmissible_input(self):
-        with pytest.raises(CompletionError, match="exceeds 1"):
-            complete(TrigSeries(EVEN, (0.9, 0.5)), TrigSeries.zero("odd"), +1)
-        # the pipeline's only unit-modulus check: max A^2 = 1.21 at theta = 0
-        with pytest.raises(CompletionError, match="not normalizable"):
-            complete(TrigSeries(EVEN, (0.0, 1.1)), TrigSeries.zero(ODD), +1)
+        np.testing.assert_allclose(c_minus.evaluate(GRID), -c_plus.evaluate(GRID), atol=1e-14)
 
     def test_nan_series_is_a_completion_error(self):
         with pytest.raises(CompletionError, match="nan"):
-            complete(TrigSeries(EVEN, (np.nan, 0.5)), TrigSeries.zero("odd"), +1)
+            crot_angles(5, np.nan)
+        with pytest.raises(CompletionError, match="nan"):
+            weighted_angles(3, [0.4, np.nan, 1.1])
 
     def test_random_admissible_normalized(self):
         rng = np.random.default_rng(13)
         for trial in range(25):
-            a, b = random_admissible_series(rng, max_degree=8, with_b=trial % 3 == 0)
-            c, d = complete(a, b, +1)
+            n = int(rng.integers(2, 9))
+            if trial % 3 == 0:
+                a, b, c, d = _weighted_quadruple(n, rng.uniform(-np.pi, np.pi, n))
+            else:
+                a, b, c, d = _crot_quadruple(n, rng.uniform(-2 * np.pi, 2 * np.pi))
             assert c.parity == "odd" and d.parity == "even"
             total = a(GRID) ** 2 + b(GRID) ** 2 + c(GRID) ** 2 + d(GRID) ** 2
             assert np.max(np.abs(total - 1)) < 1e-10
@@ -127,12 +133,7 @@ class TestExtractAngles:
             extract_angles(a, z("odd", 1), z("odd", 1), z("even", 1), 1)
 
     def test_crot_n3_length_before_padding(self):
-        from mscompile import fit_A
-
-        a = fit_A(3, np.pi)
-        b = TrigSeries.zero("odd")
-        c, d = complete(a, b, -1)
-        phis = extract_angles(a, b, c, d, 2)
+        phis = extract_angles(*_crot_quadruple(3, np.pi), 2)
         assert len(phis) - 1 == 4  # L = 2N - 2
 
     def test_round_trip_from_sampled_plan(self):
@@ -195,36 +196,36 @@ class TestCrotAngles:
         assert plan.num_pulses == 14
 
     def test_plan_blocks_match_target(self):
-        from mscompile.subspace import compute_thetas
-
         # two near-identity angles and a large N
         cases = [(3, -np.pi), (4, 0.3), (5, 2 * np.pi), (10, -0.001)]
         cases += [(12, 0.0019827690549103494), (48, np.pi), (64, 2 * np.pi - 0.05)]
-        cases += [(10, 2 * np.pi), (10, 2 * np.pi - 1e-4)]  # just outside the band that raises
+        cases += [(10, 2 * np.pi), (10, 2 * np.pi - 1e-4)]
         cases += [(64, 1e-4), (64, -1e-4), (96, 1e-4)]  # the pin solve's rounding failed these
+        # P formed as 1 - A^2 sat at rounding level here: completion took
+        # P(pi) for a zero (the first two), or the identity blocks missed 1
+        # by 1.04e-9 with no error raised (the last two)
+        cases += [(10, 2 * np.pi - 1e-6), (27, 1e-6), (12, 1e-6), (12, -1e-6)]
         for n, alpha in cases:
-            plan = crot_angles(n, alpha)
-            thetas = compute_thetas(n, plan.tau, plan.h)
-            for q, theta in enumerate(thetas):
-                u = evaluate_plan(plan.phis, theta)
-                want = rz(alpha) if q == n - 1 else np.eye(2)
-                np.testing.assert_allclose(u, want, atol=1e-9)
+            assert node_block_miss(crot_angles(n, alpha), crot_targets(n, alpha)) <= 1e-9, (n, alpha)
+        # a subtracted P left these weight blocks 2.1e-9 off Rx(alpha_q), with no error raised
+        alphas = [6.2831852584218755, 6.283184308003471]
+        assert node_block_miss(weighted_angles(2, alphas), weighted_targets(alphas)) <= 1e-9
 
-    @pytest.mark.parametrize("n, alpha", [(10, 2 * np.pi - 1e-6), (27, 1e-6)])
-    def test_controlled_block_miss_is_a_completion_error(self, n, alpha):
-        # P(pi) = sin^2(alpha/2) = 2.5e-13 is taken for a zero there, so D(pi)
-        # comes out 0 and the controlled block would miss Rz(alpha) by 5e-7
+    @pytest.mark.parametrize("n, alpha", [(10, 2 * np.pi - 1e-6), (27, 1e-6), (5, 1.1)])
+    def test_controlled_block_miss_is_a_completion_error(self, monkeypatch, n, alpha):
+        # the guard behind completion's D(pi) sign rule: a D(pi) of the
+        # wrong sign must not compile.  Near identity (the first two cases)
+        # |D(pi)| = |sin(alpha/2)| = 5e-7, so the flipped block misses
+        # Rz(alpha) by only 1e-6; these once compiled with D(pi) = 0, a miss of 5e-7
+        complete = synthesis.complete
+        monkeypatch.setattr(synthesis, "complete", lambda p, roots, degree, sign: complete(p, roots, degree, -sign))
         with pytest.raises(CompletionError, match="controlled block misses"):
             crot_angles(n, alpha)
 
     def test_quadruple_normalization_over_sweep(self):
-        from mscompile import fit_A
-
         for n in range(2, 9):
             for alpha in (0.3, np.pi / 2, np.pi, 2 * np.pi):
-                a = fit_A(n, alpha)
-                b = TrigSeries.zero("odd")
-                c, d = complete(a, b, +1)
+                a, b, c, d = _crot_quadruple(n, alpha)
                 total = a(GRID) ** 2 + b(GRID) ** 2 + c(GRID) ** 2 + d(GRID) ** 2
                 assert np.max(np.abs(total - 1)) < 1e-10
 
@@ -250,31 +251,16 @@ def test_plan_validation():
 
 def test_extraction_matches_quadruple_on_grid():
     rng = np.random.default_rng(18)
-    for trial in range(10):
-        a, b = random_admissible_series(rng, max_degree=6, with_b=trial % 2 == 0)
-        c, d = complete(a, b, +1)
-        degree = max(a.degree, b.degree)
-        phis = extract_angles(a, b, c, d, degree)
+    cases = [(_crot_quadruple(n, rng.uniform(-2 * np.pi, 2 * np.pi)), n - 1) for n in range(2, 8)]
+    cases += [(_weighted_quadruple(n, rng.uniform(-np.pi, np.pi, n)), 2 * n) for n in (2, 3, 3)]
+    # peels of L = 30..62, off the library's own grid
+    cases += [(_crot_quadruple(n, rng.uniform(-2 * np.pi, 2 * np.pi)), n - 1) for n in (16, 24, 32)]
+    for quad, degree in cases:
+        phis = extract_angles(*quad, degree)
         assert len(phis) == 2 * degree + 1
-        for theta in rng.uniform(0, 2 * np.pi, 8):
-            err = np.linalg.norm(
-                evaluate_plan(phis, theta) - quadruple_matrix(a, b, c, d, theta), ord=2
-            )
-            assert err < 1e-9
-    # fitted crot quadruples: peels of L = 30..62, off the library's own grid
-    from mscompile import fit_A
-
-    for n in (16, 24, 32):
-        alpha = rng.uniform(-2 * np.pi, 2 * np.pi)
-        a, b = fit_A(n, alpha), TrigSeries.zero("odd")
-        c, d = complete(a, b, +1)
-        phis = extract_angles(a, b, c, d, n - 1)
-        assert len(phis) == 2 * n - 1
         for theta in rng.uniform(0, 2 * np.pi, 16):
-            err = np.linalg.norm(
-                evaluate_plan(phis, theta) - quadruple_matrix(a, b, c, d, theta), ord=2
-            )
-            assert err < 1e-9, (n, alpha, theta, err)
+            err = np.linalg.norm(evaluate_plan(phis, theta) - quadruple_matrix(*quad, theta), ord=2)
+            assert err < 1e-9, (degree, theta, err)
 
 
 def test_norm_2x2_matches_lapack():
