@@ -37,11 +37,9 @@ from .circuit import (
 )
 from .simulate import (
     circuit_unitary,
-    control_blocks,
     ideal_crot,
     ideal_toffoli,
     ideal_weighted,
-    max_off_block,
     phase_distance,
     project_ancilla,
     worst_block,
@@ -84,11 +82,9 @@ __all__ = [
     "serialize",
     "to_text",
     "circuit_unitary",
-    "control_blocks",
     "ideal_crot",
     "ideal_toffoli",
     "ideal_weighted",
-    "max_off_block",
     "phase_distance",
     "project_ancilla",
     "worst_block",

@@ -35,7 +35,7 @@ import numpy as np
 from .circuit import H, MS, RX, RY, RZ, Circuit, Gate
 from .su2 import HADAMARD, norm_2x2, rx, ry, rz
 
-MAX_UNITARY_QUBITS = 14
+MAX_UNITARY_QUBITS = 13  # a 14-qubit unitary is 4 GiB, and verify holds two
 
 
 def _deposit(values: np.ndarray, qubits) -> np.ndarray:
@@ -228,26 +228,44 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def worst_block(u: np.ndarray, v: np.ndarray, target: int = 0) -> float:
-    """max over control patterns c of ||U_c - e^(i*phi) V_c||_2, phi = arg tr(V^dag U).
+    """max over control patterns c of ||(U - e^(i*phi) V)[:, c]||_2, phi = arg tr(V^dag U).
 
-    U_c and V_c are the 2x2 target blocks of ``control_blocks``.  Unlike
-    phase_distance, every pattern counts in full, so a miss in the one block
-    a controlled gate acts on is not diluted by 2^(N-1).  NaN when either
-    matrix holds a NaN, so it never meets a tolerance.
+    (...)[:, c] is control pattern c's two columns (target bit 0, then 1),
+    taken over every row.  For a block-diagonal U this is the miss of c's
+    2x2 target block; amplitude that leaks to another pattern counts at
+    first order.  Every pattern counts in full, so a miss in the one block a
+    controlled gate acts on is not diluted by 2^(N-1), and for unitary V
+    |tr(V^dag U)| >= dim * (1 - worst), so phase_distance <= worst.  NaN
+    when either matrix holds a NaN, so it never meets a tolerance.
+
+    Each pattern's 2x2 Gram matrix is summed over row chunks.  Within a
+    chunk, a pattern whose columns vanish in both U and V adds nothing, so
+    only the others are gathered.
     """
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
-    blocks = _blocks(u.shape[0].bit_length() - 1, (target,))
+    dim = u.shape[0]
+    hi, lo = dim // 2 ** (target + 1), 2**target
     phase = np.exp(1j * np.angle(np.vdot(v, u)))
-    return float(np.max(norm_2x2(u[blocks] - phase * v[blocks])))
+    gram = np.zeros((hi, lo, 2, 2), dtype=complex)
+    for start in range(0, dim, 32):
+        # axes (row, high bits, target bit, low bits); with 32 rows a
+        # block-diagonal chunk gathers about 32^2 entries
+        uc = u[start : start + 32].reshape(-1, hi, 2, lo)
+        vc = v[start : start + 32].reshape(-1, hi, 2, lo)
+        h, l = np.nonzero((uc.any(axis=0) | vc.any(axis=0)).any(axis=1))
+        d = uc[:, h, :, l] - phase * vc[:, h, :, l]  # (pattern, row, target bit)
+        gram[h, l] += d.conj().swapaxes(1, 2) @ d
+    return float(np.sqrt(np.max(norm_2x2(gram))))
 
 
 def project_ancilla(u: np.ndarray, ancilla: int, bit: int) -> tuple[np.ndarray, float]:
     """Block with the ancilla entering and leaving in the given bit state.
 
-    Leakage is the worst column-norm deficit of that block: zero iff the
-    ancilla is restored exactly on every input.  Raises ValueError unless
-    0 <= ancilla < N and bit is 0 or 1.
+    Leakage is the largest norm of the amplitude that an input with the
+    ancilla in ``bit`` leaves with the ancilla flipped: zero iff the ancilla
+    is restored exactly on every input, and first order in a small leak.
+    Raises ValueError unless 0 <= ancilla < N and bit is 0 or 1.
     """
     n = u.shape[0].bit_length() - 1
     if not 0 <= ancilla < n:
@@ -258,19 +276,9 @@ def project_ancilla(u: np.ndarray, ancilla: int, bit: int) -> tuple[np.ndarray, 
     # basis index = (high bits, ancilla bit, low bits), for rows and columns;
     # np.array copies, so the block never aliases u (a reshape alone would
     # return a view when the ancilla is the top qubit)
-    block = np.array(u.reshape(hi, 2, lo, hi, 2, lo)[:, bit, :, :, bit, :]).reshape(hi * lo, hi * lo)
-    col_sq = np.einsum("ij,ij->j", block.real, block.real) + np.einsum("ij,ij->j", block.imag, block.imag)
-    leakage = max(0.0, 1.0 - float(np.sqrt(np.min(col_sq))))
-    return block, leakage
-
-
-def control_blocks(u: np.ndarray, target: int = 0):
-    """Iterate (control_pattern, 2x2 target block) over all control states."""
-    yield from enumerate(u[_blocks(u.shape[0].bit_length() - 1, (target,))])
-
-
-def max_off_block(u: np.ndarray, target: int = 0) -> float:
-    """Largest matrix element connecting different control bitstrings."""
-    off = np.abs(u)
-    off[_blocks(u.shape[0].bit_length() - 1, (target,))] = 0.0
-    return float(np.max(off))
+    split = u.reshape(hi, 2, lo, hi, 2, lo)
+    block = np.array(split[:, bit, :, :, bit, :]).reshape(hi * lo, hi * lo)
+    # the block that flips the ancilla, its last axis split into (re, im)
+    leak = split[:, 1 - bit, :, :, bit, :].view(float)
+    col_sq = np.einsum("abij,abij->ij", leak, leak).reshape(hi, lo, 2).sum(axis=-1)
+    return block, float(np.sqrt(np.max(col_sq)))

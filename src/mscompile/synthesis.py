@@ -28,6 +28,10 @@ log = logging.getLogger(__name__)
 
 NORMALIZATION_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
+# the largest N each kind is compiled at in the tests and CI (Toffoli n
+# compiles a crot on n + 1 qubits, so it stops at 255)
+CROT_N_MAX = 256
+WEIGHTED_N_MAX = 32
 
 
 class CompletionError(SynthesisError):
@@ -347,9 +351,12 @@ def _weighted_quadruple(n: int, alphas) -> tuple[TrigSeries, TrigSeries, TrigSer
 
 def crot_angles(n: int, alpha: float) -> CompilationPlan:
     """Angle sequence implementing Rz(alpha) on the target iff all N-1
-    controls are |1>, using 2N global pulses."""
+    controls are |1>, using 2N global pulses.  N above CROT_N_MAX raises
+    SynthesisError."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if n > CROT_N_MAX:
+        raise SynthesisError(f"crot is supported up to N = {CROT_N_MAX}, got N = {n}")
     alpha = canonical_angle(alpha)
     tau, h = default_params(n)
     a, b, c, d = _crot_quadruple(n, alpha)
@@ -359,7 +366,10 @@ def crot_angles(n: int, alpha: float) -> CompilationPlan:
 
 
 def weighted_angles(n: int, alphas) -> CompilationPlan:
-    """Angle sequence applying Rx(alphas[q]) at control weight q (4N pulses)."""
+    """Angle sequence applying Rx(alphas[q]) at control weight q (4N pulses).
+    N above WEIGHTED_N_MAX raises SynthesisError."""
+    if n > WEIGHTED_N_MAX:
+        raise SynthesisError(f"weighted is supported up to N = {WEIGHTED_N_MAX}, got N = {n}")
     a, b, c, d = _weighted_quadruple(n, alphas)
     phis = extract_angles(a, b, c, d, 2 * n)
     tau, h = weighted_params(n)

@@ -107,6 +107,35 @@ def node_block_miss(plan: CompilationPlan, targets) -> float:
     return max(np.linalg.norm(evaluate_plan(plan.phis, t) - u, ord=2) for t, u in zip(thetas, targets))
 
 
+def pattern_indices(n: int, target: int = 0) -> np.ndarray:
+    """Basis indices of each control pattern c, shape (2^(n-1), 2): the
+    pattern's bits with the target bit inserted, as 0 and then as 1."""
+    c = np.arange(2 ** (n - 1))[:, None]
+    low = c & ((1 << target) - 1)
+    return ((c >> target) << (target + 1)) | (np.arange(2) << target) | low
+
+
+def target_blocks(u: np.ndarray, target: int = 0) -> np.ndarray:
+    """The 2x2 target block of every control pattern, in pattern order."""
+    idx = pattern_indices(u.shape[0].bit_length() - 1, target)
+    return u[idx[:, :, None], idx[:, None, :]]
+
+
+def off_block_max(u: np.ndarray, target: int = 0) -> float:
+    """Largest |entry| that connects two different control patterns."""
+    idx = pattern_indices(u.shape[0].bit_length() - 1, target)
+    off = np.abs(u)
+    off[idx[:, :, None], idx[:, None, :]] = 0.0
+    return float(np.max(off))
+
+
+def column_pair_miss(u: np.ndarray, v: np.ndarray, target: int = 0) -> float:
+    """LAPACK reference for worst_block: the largest 2-norm of a pattern's
+    two columns of U - e^(i*phi) V, phi = arg tr(V^dag U)."""
+    d = u - np.exp(1j * np.angle(np.trace(v.conj().T @ u))) * v
+    return max(np.linalg.norm(d[:, cols], 2) for cols in pattern_indices(u.shape[0].bit_length() - 1, target))
+
+
 def solve_pins(points, degree: int, parity: str) -> np.ndarray:
     """Coefficients of the cosine/sine series of a degree meeting every pin.
 

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from _helpers import dense_ms
+from _helpers import dense_ms, off_block_max, target_blocks
 
 from mscompile import (
     Circuit,
@@ -17,11 +17,9 @@ from mscompile import (
     build_from_merged,
     build_toffoli_circuit,
     circuit_unitary,
-    control_blocks,
     crot_angles,
     ideal_crot,
     ideal_toffoli,
-    max_off_block,
     phase_distance,
     project_ancilla,
     weighted_angles,
@@ -150,7 +148,7 @@ def test_criterion_7_weight_dependent():
     phase = np.trace(rx(alphas[2]).conj().T @ u[6:, 6:]) / 2
     phase /= abs(phase)
     worst = 0.0
-    for ctrl, block in control_blocks(u):
+    for ctrl, block in enumerate(target_blocks(u)):
         q = bin(ctrl).count("1")
         worst = max(worst, float(np.max(np.abs(block / phase - rx(alphas[q])))))
     ok = worst <= 1e-6
@@ -163,14 +161,14 @@ def test_criterion_8_block_structure(crot_sweep):
     sweep, _ = crot_sweep
     worst_off = worst_idle = 0.0
     for (n, _alpha), (_, _, u) in sweep.items():
-        worst_off = max(worst_off, max_off_block(u))
-        for ctrl, block in control_blocks(u):
+        worst_off = max(worst_off, off_block_max(u))
+        for ctrl, block in enumerate(target_blocks(u)):
             if bin(ctrl).count("1") != n - 1:
                 worst_idle = max(
                     worst_idle, abs(block[0, 1]), abs(block[1, 0]), abs(block[0, 0] - block[1, 1])
                 )
     u_weighted = circuit_unitary(build_crot_circuit(weighted_angles(3, (0.4, 1.1, 2.0))))
-    worst_off = max(worst_off, max_off_block(u_weighted))
+    worst_off = max(worst_off, off_block_max(u_weighted))
     ok = worst_off <= 1e-10 and worst_idle <= 1e-9
     print(f"criterion 8 block structure: off-block {worst_off:.3e}, idle blocks {worst_idle:.3e} "
           f"-> {'PASS' if ok else 'FAIL'}")

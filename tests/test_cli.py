@@ -8,6 +8,7 @@ from mscompile import (
     CompletionError,
     ExtractionError,
     FittingError,
+    Gate,
     SynthesisError,
     deserialize,
     serialize,
@@ -151,6 +152,38 @@ class TestCompileVerify:
         out = capsys.readouterr().out
         assert "worst_block = 2.500e-02" in out and "FAIL" in out
 
+    @pytest.mark.parametrize(
+        "compile_args, verify_args, where, line",
+        [
+            # RX(1e-3) on control qubit 3 before the train moves amplitude
+            # 5e-4 between control patterns; phase_distance and the 2x2
+            # block miss are second order in it (1.25e-7)
+            (["--kind", "crot", "--n", "10", "--alpha", "pi/3"], ["--target", "crot", "--n", "10", "--alpha", "pi/3"],
+             "first", "worst_block = 5.000e-04"),
+            # RX(1e-3) on the ancilla after the train leaves it flipped with amplitude 5e-4
+            (["--kind", "toffoli", "--n", "9"], ["--target", "toffoli", "--n", "9"], "last", "ancilla_leakage = 5.000e-04"),
+        ],
+        ids=["crot_control_leak", "toffoli_ancilla_leak"],
+    )
+    def test_leaked_amplitude_fails(self, tmp_path, capsys, compile_args, verify_args, where, line):
+        path = tmp_path / "c.json"
+        assert main(["compile", *compile_args, "--out", str(path)]) == 0
+        circ = deserialize(path.read_bytes())
+        qubit = next(iter(circ.ancilla_qubits)) if circ.ancilla_qubits else 3
+        leak = (Gate.rx(qubit, 1e-3),)
+        gates = leak + circ.gates if where == "first" else circ.gates + leak
+        path.write_bytes(serialize(Circuit(circ.num_qubits, gates, circ.target_qubit, circ.ancilla_qubits)))
+        capsys.readouterr()
+        assert main(["verify", "--circuit", str(path), *verify_args]) == 1
+        out = capsys.readouterr().out
+        assert line in out and "FAIL" in out
+
+    def test_14_qubit_circuit_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_bytes(serialize(Circuit(14, ())))
+        assert main(["verify", "--circuit", str(path), "--target", "crot", "--n", "14", "--alpha", "0"]) == 64
+        assert "refusing" in capsys.readouterr().err
+
     def test_synthesis_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         for error in (FittingError, CompletionError, ExtractionError):
             assert issubclass(error, SynthesisError), error.__name__
@@ -231,8 +264,33 @@ class TestUsageErrors:
             assert main(args) == 64, args
             assert "cannot parse angle" in capsys.readouterr().err, args
 
-    def test_small_n(self):
-        assert main(["crot-angles", "--n", "1", "--alpha", "pi"]) == 64
+    def test_small_n(self, tmp_path):
+        out = ["--out", str(tmp_path / "x")]
+        for args in (
+            ["crot-angles", "--n", "1", "--alpha", "pi"],
+            ["compile", "--kind", "crot", "--n", "1", "--alpha", "pi", *out],
+            ["compile", "--kind", "toffoli", "--n", "1", *out],
+            ["compile", "--kind", "weighted", "--n", "1", "--alphas", "0.3", *out],
+            ["series", "--n", "1", "--alpha", "pi", *out],
+        ):
+            assert main(args) == 64, args
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["crot-angles", "--n", "257", "--alpha", "pi"],
+            ["compile", "--kind", "crot", "--n", "257", "--alpha", "pi"],
+            ["compile", "--kind", "toffoli", "--n", "256"],
+            ["compile", "--kind", "weighted", "--n", "33", "--alphas", ",".join(["0.3"] * 33)],
+        ],
+        ids=["crot_angles", "crot", "toffoli", "weighted"],
+    )
+    def test_above_n_max_is_a_synthesis_error(self, tmp_path, capsys, args):
+        if args[0] == "compile":
+            args = [*args, "--out", str(tmp_path / "x.json")]
+        assert main(args) == 2
+        assert "supported up to N" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_missing_circuit_file(self, tmp_path):
         assert main(["verify", "--circuit", str(tmp_path / "nope.json"), "--target", "crot", "--n", "3", "--alpha", "pi"]) == 64

@@ -4,7 +4,7 @@ extraction check half its grid."""
 
 import numpy as np
 import pytest
-from _helpers import crot_targets, node_block_miss, quadruple_matrix, weighted_targets
+from _helpers import crot_targets, node_block_miss, pattern_indices, quadruple_matrix, weighted_targets
 from hypothesis import given, settings, strategies as st
 
 from mscompile import (
@@ -13,7 +13,9 @@ from mscompile import (
     crot_angles,
     evaluate_plan,
     extract_angles,
+    phase_distance,
     weighted_angles,
+    worst_block,
 )
 from mscompile import synthesis
 from mscompile.su2 import norm_2x2
@@ -123,3 +125,27 @@ def test_quadruple_off_normalization_is_an_extraction_error(which):
     quad[which] = TrigSeries(s.parity, tuple(coeffs))
     with pytest.raises(ExtractionError, match="reconstruction error"):
         extract_angles(*quad, 8)
+
+
+def _random_unitary(rng, dim: int, scale: float) -> np.ndarray:
+    """Q of I + scale * G (G complex Gaussian), its column phases fixed so
+    that a small scale gives a unitary near the identity."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(np.eye(dim) + scale * g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-9.0, 1.0))
+def test_worst_block_bounds_phase_distance(n, seed, log_scale):
+    """For unitary V, |tr(V^dag U)| >= dim * (1 - worst_block): the distance
+    test is implied by the block test.  V is block diagonal over control
+    patterns with random U(2) blocks; U is V behind a unitary near the
+    identity, and a global phase."""
+    rng = np.random.default_rng(seed)
+    target = int(rng.integers(n))
+    idx = pattern_indices(n, target)
+    v = np.zeros((2**n, 2**n), dtype=complex)
+    v[idx[:, :, None], idx[:, None, :]] = [_random_unitary(rng, 2, 10.0) for _ in idx]
+    u = np.exp(2j * np.pi * rng.random()) * _random_unitary(rng, 2**n, 10.0**log_scale) @ v
+    assert phase_distance(u, v) <= worst_block(u, v, target) + 1e-15

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from _helpers import dense_ms, slow_unitary
+from _helpers import column_pair_miss, dense_ms, embed, off_block_max, pattern_indices, slow_unitary, target_blocks
 
 from mscompile import (
     Circuit,
@@ -8,12 +10,10 @@ from mscompile import (
     build_crot_circuit,
     build_toffoli_circuit,
     circuit_unitary,
-    control_blocks,
     crot_angles,
     ideal_crot,
     ideal_toffoli,
     ideal_weighted,
-    max_off_block,
     phase_distance,
     project_ancilla,
     weighted_angles,
@@ -137,8 +137,15 @@ class TestCircuitUnitary:
         np.testing.assert_allclose(circuit_unitary(circ)[:, 5], _gate_by_gate(circ, 5), atol=1e-12)
 
     def test_size_guard(self):
-        with pytest.raises(ValueError):
-            circuit_unitary(Circuit(15, ()))
+        # a 14-qubit unitary is 4 GiB: refused before anything is allocated
+        tracemalloc.start()
+        try:
+            for n in (14, 15):
+                with pytest.raises(ValueError, match="refusing"):
+                    circuit_unitary(Circuit(n, ()))
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
 
 class TestFrameTracker:
@@ -210,12 +217,6 @@ class TestBlockStore:
         np.testing.assert_allclose(circuit_unitary(circ), slow_unitary(circ), atol=1e-12)
 
 
-def _block_indices(c: int, target: int) -> list[int]:
-    """Basis indices of control pattern c with the target bit 0, then 1."""
-    low = c & ((1 << target) - 1)
-    return [((c >> target) << (target + 1)) | (bit << target) | low for bit in (0, 1)]
-
-
 class TestIdealUnitaries:
     @pytest.mark.parametrize("n, target", [(n, t) for n in range(2, 7) for t in sorted({0, n // 2, n - 1})])
     def test_blocks_match_definition(self, n, target):
@@ -229,10 +230,8 @@ class TestIdealUnitaries:
             x = np.array([[0, 1], [1, 0]])
             cases.append((ideal_toffoli(n), lambda c: x if c == last else np.eye(2)))
         for u, want in cases:
-            assert max_off_block(u, target) == 0.0
-            for c, block in control_blocks(u, target):
-                idx = _block_indices(c, target)
-                np.testing.assert_array_equal(block, want(c))
+            assert off_block_max(u, target) == 0.0
+            for c, idx in enumerate(pattern_indices(n, target)):
                 np.testing.assert_array_equal(u[np.ix_(idx, idx)], want(c))
 
     def test_crot_identity_angle(self):
@@ -263,7 +262,7 @@ class TestIdealUnitaries:
     def test_weighted_blocks(self):
         alphas = (0.2, 0.9, 1.7)
         u = ideal_weighted(3, alphas)
-        for ctrl, block in control_blocks(u):
+        for ctrl, block in enumerate(target_blocks(u)):
             np.testing.assert_allclose(block, rx(alphas[bin(ctrl).count('1')]), atol=1e-15)
 
 
@@ -288,13 +287,31 @@ class TestPhaseDistance:
     def test_worst_block_sees_the_controlled_block(self):
         u, v = ideal_crot(6, 1.1, target=2), np.exp(0.4j) * ideal_crot(6, 1.15, target=2)
         phase = np.vdot(v, u) / abs(np.vdot(v, u))
-        want = max(
-            np.linalg.norm(bu - phase * bv, 2)
-            for (_, bu), (_, bv) in zip(control_blocks(u, 2), control_blocks(v, 2))
-        )
+        want = max(np.linalg.norm(bu - phase * bv, 2) for bu, bv in zip(target_blocks(u, 2), target_blocks(v, 2)))
         assert worst_block(u, v, target=2) == pytest.approx(want, rel=1e-12)
         # the trace weighs the one differing block by 2^-5
         assert phase_distance(u, v) < 1e-4 < 1e-2 < want
+
+    @pytest.mark.parametrize("n, zeros", [(1, 0.0), (2, 0.0), (3, 0.5), (5, 0.0), (7, 0.0), (7, 0.97)])
+    def test_worst_block_matches_lapack_on_unstructured_pairs(self, n, zeros):
+        # no block structure; with most entries zero in both U and V, a
+        # 32-row chunk leaves many patterns' columns empty, and some nonzero
+        # in U or V alone
+        rng = np.random.default_rng(n)
+        u, v = (rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n)) for _ in range(2))
+        u[rng.random(u.shape) < zeros] = 0.0
+        v[rng.random(v.shape) < zeros] = 0.0
+        for target in range(n):
+            assert worst_block(u, v, target) == pytest.approx(column_pair_miss(u, v, target), rel=1e-13)
+
+    def test_worst_block_counts_leakage_at_first_order(self):
+        # RX(2e-3) on control qubit 3 moves amplitude sin(1e-3) to another pattern;
+        # with the in-block miss 1 - cos(1e-3), each column misses by 2 sin(5e-4)
+        v = ideal_crot(6, 0.7)
+        u = v @ embed(6, rx(2e-3), 3)
+        assert worst_block(u, v) == pytest.approx(2 * np.sin(5e-4), rel=1e-12)
+        assert worst_block(u, v) == pytest.approx(column_pair_miss(u, v), rel=1e-12)
+        assert phase_distance(u, v) < 1e-6
 
     def test_orthogonal_pair(self):
         z = np.diag([1.0, -1.0]).astype(complex)
@@ -320,10 +337,16 @@ class TestProjectAncilla:
         _, leakage = project_ancilla(u, 2, 0)
         assert leakage == pytest.approx(1.0)
 
+    def test_small_leak_reads_first_order(self):
+        u = embed(3, rx(1e-3), 2)  # RX(1e-3) on the ancilla, qubit 2
+        _, leakage = project_ancilla(u, 2, 0)
+        assert leakage == pytest.approx(np.sin(5e-4), rel=1e-12)
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_gather_reference(self, n):
-        """The strided block equals the index gather bit for bit; the leakage
-        sums squares in another order, so it may differ by rounding."""
+        """The strided block equals the index gather bit for bit; the leakage,
+        the largest column norm of the block that flips the ancilla, sums
+        squares in another order, so it may differ by rounding."""
         rng = np.random.default_rng(n)
         u = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         u /= np.linalg.norm(u, axis=0)  # unit columns, so every block leaks
@@ -331,12 +354,13 @@ class TestProjectAncilla:
         for ancilla in range(n):
             for bit in (0, 1):
                 keep = idx[((idx >> ancilla) & 1) == bit]
+                flip = idx[((idx >> ancilla) & 1) != bit]
                 want = u[np.ix_(keep, keep)]
-                want_leakage = max(0.0, 1.0 - float(np.min(np.linalg.norm(want, axis=0))))
+                want_leakage = float(np.max(np.linalg.norm(u[np.ix_(flip, keep)], axis=0)))
                 block, leakage = project_ancilla(u, ancilla, bit)
                 np.testing.assert_array_equal(block, want)
                 assert not np.shares_memory(block, u)
-                assert 0.0 < leakage == pytest.approx(want_leakage, rel=0, abs=2**n * np.finfo(float).eps)
+                assert 0.0 < leakage == pytest.approx(want_leakage, rel=1e-14)
 
     @pytest.mark.parametrize(
         "ancilla, bit, match",
@@ -351,8 +375,8 @@ class TestBlockStructure:
     def test_compiled_crot_blocks(self):
         plan = crot_angles(5, 0.3)
         u = circuit_unitary(build_crot_circuit(plan))
-        assert max_off_block(u) < 1e-10
-        for ctrl, block in control_blocks(u):
+        assert off_block_max(u) < 1e-10
+        for ctrl, block in enumerate(target_blocks(u)):
             if bin(ctrl).count("1") != 4:
                 assert abs(block[0, 1]) < 1e-9 and abs(block[1, 0]) < 1e-9
                 assert abs(block[0, 0] - block[1, 1]) < 1e-9

@@ -28,7 +28,7 @@ from mscompile import (
 )
 from mscompile import synthesis
 from mscompile.su2 import norm_2x2, rx, rz
-from mscompile.synthesis import _crot_quadruple, _weighted_quadruple
+from mscompile.synthesis import WEIGHTED_N_MAX, _crot_quadruple, _weighted_quadruple
 
 GRID = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
 
@@ -238,6 +238,12 @@ class TestWeightedAngles:
         alphas = np.random.default_rng(100 * n + seed).uniform(-np.pi, np.pi, size=n)
         circ = build_crot_circuit(weighted_angles(n, alphas))
         assert phase_distance(circuit_unitary(circ), ideal_weighted(n, alphas)) < 1e-9
+
+    def test_compiles_at_n_max(self):
+        # the largest weighted N a test compiles, so README's N_max (N_max + 1 is in test_cli)
+        rng = np.random.default_rng(WEIGHTED_N_MAX)
+        for alphas in (rng.uniform(-np.pi, np.pi, WEIGHTED_N_MAX), 0.7 + 1e-6 * rng.uniform(-1.0, 1.0, WEIGHTED_N_MAX)):
+            assert node_block_miss(weighted_angles(WEIGHTED_N_MAX, alphas), weighted_targets(alphas)) <= 1e-9
 
 
 def test_plan_validation():
