@@ -28,7 +28,6 @@ from .circuit import (
     QubitIndexError,
     UnknownGateError,
     build_crot_circuit,
-    build_from_merged,
     build_toffoli_circuit,
     deserialize,
     plan_merged_angles,
@@ -75,7 +74,6 @@ __all__ = [
     "QubitIndexError",
     "UnknownGateError",
     "build_crot_circuit",
-    "build_from_merged",
     "build_toffoli_circuit",
     "deserialize",
     "plan_merged_angles",

@@ -1,4 +1,4 @@
-"""Gate-level IR: pulse-train emission, merged-angle form, serialization.
+"""Gate-level IR: pulse-train emission, merged-angle printout, serialization.
 
 Gates are either the global entangling pulse ``MS`` (always acts on every
 qubit, so it carries no qubit index) or single-qubit ``RX``/``RY``/``RZ``/``H``.
@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .su2 import canonical_angle
 from .synthesis import CompilationPlan, crot_angles
@@ -112,32 +110,25 @@ class Circuit:
         return sum(1 for g in self.gates if g.kind == MS)
 
 
-def _pulse_train(num_qubits: int, target: int, tau: float, h: float, phis) -> list[Gate]:
-    """Hadamard sandwich on the controls around L pulse blocks.
-
-    Pulses run j = L down to 1; each block is Rz(-phi_j), MS(tau), Rx(h),
-    Rz(phi_j) on the target, and Rz(phi_0) closes the train.
-    """
-    controls = [q for q in range(num_qubits) if q != target]
-    gates = [Gate.h(q) for q in controls]
-    for phi in reversed(phis[1:]):
-        gates.append(Gate.rz(target, -phi))
-        gates.append(Gate.ms(tau))
-        gates.append(Gate.rx(target, h))
-        gates.append(Gate.rz(target, phi))
-    gates.extend(Gate.h(q) for q in controls)
-    gates.append(Gate.rz(target, phis[0]))
-    return gates
-
-
 def build_crot_circuit(plan: CompilationPlan, target: int = 0) -> Circuit:
-    """Emit the controlled-rotation pulse train for a compiled plan."""
+    """Emit the pulse train of a compiled plan; every gate kind comes through here.
+
+    The controls get a Hadamard sandwich around L pulse blocks.  Pulses run
+    j = L down to 1; each block is Rz(-phi_j), MS(tau), Rx(h), Rz(phi_j) on
+    the target, and Rz(phi_0) closes the train.  A plan whose tau * L is not
+    a multiple of 2*pi raises PhaseResetError.
+    """
     if not plan.is_phase_reset_valid():
         raise PhaseResetError(
             f"tau * L = {plan.tau * plan.num_pulses:.6f} is not a multiple of 2*pi; "
             "the circuit would leak control-dependent phases"
         )
-    gates = _pulse_train(plan.n, target, plan.tau, plan.h, plan.phis)
+    controls = [q for q in range(plan.n) if q != target]
+    gates = [Gate.h(q) for q in controls]
+    for phi in reversed(plan.phis[1:]):
+        gates += [Gate.rz(target, -phi), Gate.ms(plan.tau), Gate.rx(target, plan.h), Gate.rz(target, phi)]
+    gates.extend(Gate.h(q) for q in controls)
+    gates.append(Gate.rz(target, plan.phis[0]))
     return Circuit(plan.n, tuple(gates), target_qubit=target)
 
 
@@ -145,8 +136,8 @@ def plan_merged_angles(plan: CompilationPlan) -> list[float]:
     """Combined z-rotations of the train, listed in reverse time order.
 
     Entry 0 absorbs phi_0 into the last slot; entry 2N equals -phi_L and is
-    applied first.  This matches the orientation used by
-    ``build_from_merged``.
+    applied first.  A printout only (``crot-angles --merged``, ``table``):
+    circuits are emitted from the plan by ``build_crot_circuit``.
     """
     phis = plan.phis
     L = plan.num_pulses
@@ -155,26 +146,6 @@ def plan_merged_angles(plan: CompilationPlan) -> list[float]:
     if L:
         merged.append(-phis[L])
     return [canonical_angle(m) for m in merged]
-
-
-def build_from_merged(n: int, tau: float, h: float, merged_phis) -> Circuit:
-    """Pulse train in merged form: one z-rotation per slot.
-
-    ``merged_phis`` has 2N+1 entries; the last entry is applied first in
-    time, then alternating [MS + Rx(h)] blocks and z-slots down to entry 0.
-    """
-    merged = [float(m) for m in merged_phis]
-    if len(merged) != 2 * n + 1:
-        raise ValueError(f"need 2N+1 = {2 * n + 1} merged angles, got {len(merged)}")
-    controls = list(range(1, n))
-    gates = [Gate.h(q) for q in controls]
-    gates.append(Gate.rz(0, merged[-1]))
-    for m in reversed(merged[:-1]):
-        gates.append(Gate.ms(tau))
-        gates.append(Gate.rx(0, h))
-        gates.append(Gate.rz(0, m))
-    gates.extend(Gate.h(q) for q in controls)
-    return Circuit(n, tuple(gates), target_qubit=0)
 
 
 def build_toffoli_circuit(n: int) -> Circuit:
@@ -188,10 +159,9 @@ def build_toffoli_circuit(n: int) -> Circuit:
     """
     if n < 2:
         raise ValueError(f"Toffoli needs at least 2 qubits, got {n}")
-    plan = crot_angles(n + 1, 2.0 * np.pi)
-    inner = _pulse_train(n + 1, target=n, tau=plan.tau, h=plan.h, phis=plan.phis)
-    gates = [Gate.h(0), *inner, Gate.h(0)]
-    return Circuit(n + 1, tuple(gates), target_qubit=0, ancilla_qubits=frozenset({n}))
+    inner = build_crot_circuit(crot_angles(n + 1, 2.0 * math.pi), target=n).gates
+    gates = (Gate.h(0), *inner, Gate.h(0))
+    return Circuit(n + 1, gates, target_qubit=0, ancilla_qubits=frozenset({n}))
 
 
 def _gate_to_json(gate: Gate) -> dict:
@@ -229,8 +199,10 @@ def deserialize(data: bytes | str) -> Circuit:
         target = int(doc.get("target_qubit", 0))
         ancillas = frozenset(int(q) for q in doc.get("ancilla_qubits", []))
         raw_gates = doc["gates"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CircuitFormatError(f"missing or malformed field: {exc}") from exc
+    if not isinstance(raw_gates, list):
+        raise CircuitFormatError(f"gates must be a list, got {type(raw_gates).__name__}")
     gates = []
     for entry in raw_gates:
         if not isinstance(entry, dict) or "type" not in entry:
@@ -245,7 +217,7 @@ def deserialize(data: bytes | str) -> Circuit:
                 gates.append(Gate(kind, int(entry["qubit"]), float(entry["angle"])))
             else:
                 raise UnknownGateError(f"unknown gate type {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, CircuitFormatError):
                 raise
             raise CircuitFormatError(f"malformed {kind!r} gate: {exc}") from exc

@@ -15,7 +15,6 @@ import numpy as np
 from .circuit import (
     CircuitFormatError,
     build_crot_circuit,
-    build_from_merged,
     build_toffoli_circuit,
     deserialize,
     plan_merged_angles,
@@ -109,7 +108,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid-points", type=int, default=513)
     p.add_argument("--out", required=True)
 
-    sub.add_parser("table", help="merged angles and verification distances for N = 3..6, alpha = -pi")
+    sub.add_parser("table", help="merged angles and worst_block verdicts for N = 3..6, alpha = -pi")
     return parser
 
 
@@ -207,14 +206,12 @@ def cmd_series(args) -> int:
 
 
 def cmd_table(args) -> int:
-    print("merged z-rotation angles for the controlled-iZ (alpha = -pi), 3 decimals")
+    print("merged z-rotation angles for the controlled-iZ (alpha = -pi), 3 decimals; worst_block of the circuit")
     for n in range(3, 7):
         plan = crot_angles(n, -np.pi)
-        merged = plan_merged_angles(plan)
-        circ = build_from_merged(n, plan.tau, plan.h, merged)
-        distance = phase_distance(circuit_unitary(circ), ideal_crot(n, -np.pi))
-        angles = "  ".join(f"{m:6.3f}" for m in merged)
-        print(f"N={n}  tau=pi/{n}  [{angles}]  distance={distance:.2e}")
+        block_miss = worst_block(circuit_unitary(build_crot_circuit(plan)), ideal_crot(n, -np.pi))
+        angles = "  ".join(f"{m:6.3f}" for m in plan_merged_angles(plan))
+        print(f"N={n}  tau=pi/{n}  [{angles}]  worst_block={block_miss:.2e}")
     return 0
 
 
@@ -255,7 +252,7 @@ def main(argv=None) -> int:
     except SynthesisError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return SYNTHESIS_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+PHASE_RESET_TOL = 1e-12
+
 
 def _check_size(n: int) -> None:
     if n < 2:
@@ -38,8 +40,8 @@ def compute_thetas(n: int, tau: float, h: float) -> list[float]:
     return [(n - 1 - 2 * q) * tau + h for q in range(n)]
 
 
-def phase_reset_ok(n: int, length: int, tau: float, tol: float = 1e-12) -> bool:
-    """True iff tau * L is an integer multiple of 2*pi.
+def phase_reset_ok(length: int, tau: float) -> bool:
+    """True iff tau * L is an integer multiple of 2*pi (to PHASE_RESET_TOL).
 
     Guarantees that the pairwise control-control phases accumulated over L
     pulses cancel; with tau = pi/N this holds iff L is a multiple of 2N.
@@ -47,4 +49,4 @@ def phase_reset_ok(n: int, length: int, tau: float, tol: float = 1e-12) -> bool:
     if length < 0:
         raise ValueError("pulse count must be non-negative")
     turns = tau * length / (2.0 * np.pi)
-    return bool(abs(turns - round(turns)) * 2.0 * np.pi <= tol)
+    return bool(abs(turns - round(turns)) * 2.0 * np.pi <= PHASE_RESET_TOL)

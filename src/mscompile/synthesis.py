@@ -67,7 +67,7 @@ class CompilationPlan:
         return len(self.phis) - 1
 
     def is_phase_reset_valid(self) -> bool:
-        return phase_reset_ok(self.n, self.num_pulses, self.tau)
+        return phase_reset_ok(self.num_pulses, self.tau)
 
 
 def evaluate_plan(phis, theta: float) -> np.ndarray:
@@ -310,8 +310,10 @@ def _crot_quadruple(n: int, alpha: float) -> tuple[TrigSeries, TrigSeries, TrigS
 
     The controlled block is A(pi) + i*D(pi)*Z, so it is Rz(alpha) iff
     D(pi) = -sin(alpha/2).  A miss over RECONSTRUCTION_TOL raises
-    CompletionError.
+    CompletionError, and N above CROT_N_MAX raises SynthesisError first.
     """
+    if n > CROT_N_MAX:
+        raise SynthesisError(f"crot is supported up to N = {CROT_N_MAX}, got N = {n}")
     a = fit_A(n, alpha)
     b = TrigSeries.zero(ODD)
     kappa = 2.0 * np.sin(alpha / 4.0) ** 2
@@ -335,8 +337,10 @@ def _weighted_quadruple(n: int, alphas) -> tuple[TrigSeries, TrigSeries, TrigSer
     and |w_j| = 1, P = 1 - A^2 - B^2 = 1/2 sum_{j,l} F_j F_l |w_j - w_l|^2,
     a sum of non-negative terms, with |w_j - w_l| formed from the angle
     differences.  Its zeros near the circle are the double zeros at the
-    nodes.
+    nodes.  N above WEIGHTED_N_MAX raises SynthesisError first.
     """
+    if n > WEIGHTED_N_MAX:
+        raise SynthesisError(f"weighted is supported up to N = {WEIGHTED_N_MAX}, got N = {n}")
     a, b = fit_weight_dependent(n, alphas)
     thetas = np.array(compute_thetas(n, *weighted_params(n)))
     nodes = np.concatenate([thetas, -thetas])
@@ -355,8 +359,6 @@ def crot_angles(n: int, alpha: float) -> CompilationPlan:
     SynthesisError."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if n > CROT_N_MAX:
-        raise SynthesisError(f"crot is supported up to N = {CROT_N_MAX}, got N = {n}")
     alpha = canonical_angle(alpha)
     tau, h = default_params(n)
     a, b, c, d = _crot_quadruple(n, alpha)
@@ -368,8 +370,6 @@ def crot_angles(n: int, alpha: float) -> CompilationPlan:
 def weighted_angles(n: int, alphas) -> CompilationPlan:
     """Angle sequence applying Rx(alphas[q]) at control weight q (4N pulses).
     N above WEIGHTED_N_MAX raises SynthesisError."""
-    if n > WEIGHTED_N_MAX:
-        raise SynthesisError(f"weighted is supported up to N = {WEIGHTED_N_MAX}, got N = {n}")
     a, b, c, d = _weighted_quadruple(n, alphas)
     phis = extract_angles(a, b, c, d, 2 * n)
     tau, h = weighted_params(n)

@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.linalg import expm
 
-from mscompile import EVEN, ODD, Circuit, CompilationPlan, TrigSeries, compute_thetas, evaluate_plan
+from mscompile import EVEN, ODD, Circuit, CompilationPlan, TrigSeries, compute_thetas, default_params, evaluate_plan
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -105,6 +105,20 @@ def node_block_miss(plan: CompilationPlan, targets) -> float:
     """Largest operator-norm miss of the train at theta_q from targets[q]."""
     thetas = compute_thetas(plan.n, plan.tau, plan.h)
     return max(np.linalg.norm(evaluate_plan(plan.phis, t) - u, ord=2) for t, u in zip(thetas, targets))
+
+
+def plan_from_merged(n: int, merged) -> CompilationPlan:
+    """Invert ``plan_merged_angles`` for a crot train of L >= 2 pulses.
+
+    merged[L] = -phi_L, merged[j] = phi_{j+1} - phi_j for j = 1..L-1 and
+    merged[0] = phi_0 + phi_1, so the phis follow from L down to 0.
+    """
+    m = [float(x) for x in merged]
+    phis = [-m[-1]]
+    for mj in reversed(m[1:-1]):
+        phis.append(phis[-1] - mj)
+    phis.append(m[0] - phis[-1])
+    return CompilationPlan(n, *default_params(n), tuple(reversed(phis)))
 
 
 def pattern_indices(n: int, target: int = 0) -> np.ndarray:

@@ -8,13 +8,12 @@ import time
 
 import numpy as np
 import pytest
-from _helpers import dense_ms, off_block_max, target_blocks
+from _helpers import dense_ms, off_block_max, plan_from_merged, target_blocks
 
 from mscompile import (
     Circuit,
     Gate,
     build_crot_circuit,
-    build_from_merged,
     build_toffoli_circuit,
     circuit_unitary,
     crot_angles,
@@ -56,7 +55,7 @@ def test_criterion_1_table_replay():
     start = time.perf_counter()
     worst = 0.0
     for n, row in TABLE_1.items():
-        circ = build_from_merged(n, PI / n, -PI / n, row)
+        circ = build_crot_circuit(plan_from_merged(n, row))
         worst = max(worst, phase_distance(circuit_unitary(circ), ideal_crot(n, -PI)))
     elapsed = time.perf_counter() - start
     print(f"criterion 1 table replay: worst distance {worst:.3e} in {elapsed:.2f}s -> "

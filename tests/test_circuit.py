@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from _helpers import plan_from_merged
 
 from mscompile import (
     Circuit,
@@ -12,10 +13,10 @@ from mscompile import (
     QubitIndexError,
     UnknownGateError,
     build_crot_circuit,
-    build_from_merged,
     build_toffoli_circuit,
     circuit_unitary,
     crot_angles,
+    default_params,
     deserialize,
     ideal_toffoli,
     phase_distance,
@@ -64,27 +65,22 @@ class TestBuildCrot:
 
 
 class TestBuildFromMerged:
-    def test_length_check(self):
-        with pytest.raises(ValueError):
-            build_from_merged(3, PI / 3, -PI / 3, [0.0] * 6)
-
-    def test_structure(self):
-        circ = build_from_merged(3, PI / 3, -PI / 3, [0.1] * 7)
-        counts = _counts(circ)
-        assert counts == {"H": 4, "RZ": 7, "MS": 6, "RX": 6}
+    """Circuits built from merged angles: plan_from_merged, then build_crot_circuit."""
 
     def test_matches_unmerged_circuit(self):
         for n, alpha in [(3, -PI), (4, 0.3), (5, 2 * PI)]:
             plan = crot_angles(n, alpha)
+            merged = plan_merged_angles(plan)
+            back = plan_from_merged(n, merged)
+            np.testing.assert_allclose(plan_merged_angles(back), merged, rtol=0, atol=1e-12)
             direct = circuit_unitary(build_crot_circuit(plan))
-            merged = circuit_unitary(build_from_merged(n, plan.tau, plan.h, plan_merged_angles(plan)))
-            assert phase_distance(direct, merged) < 1e-12
+            assert phase_distance(direct, circuit_unitary(build_crot_circuit(back))) < 1e-12
 
     def test_table1_n3_row(self):
         from mscompile import ideal_crot
 
         row = [-1.855, -2.118, -0.525, -2.118, -1.855, -PI, 0.0]
-        circ = build_from_merged(3, PI / 3, -PI / 3, row)
+        circ = build_crot_circuit(plan_from_merged(3, row))
         dist = phase_distance(circuit_unitary(circ), ideal_crot(3, -PI))
         assert dist < 1e-2
 
@@ -115,6 +111,15 @@ class TestToffoli:
         assert circ.ancilla_qubits == frozenset({3})
         assert circ.target_qubit == 0
 
+    def test_refuses_phase_leak(self, monkeypatch):
+        # L = 4 pulses on the 4 qubits of a Toffoli n = 3: tau * L = pi, not a multiple of 2*pi
+        def unpadded(n, alpha):
+            return CompilationPlan(n, *default_params(n), (0.0, 0.1, 0.2, 0.3, 0.4))
+
+        monkeypatch.setattr("mscompile.circuit.crot_angles", unpadded)
+        with pytest.raises(PhaseResetError):
+            build_toffoli_circuit(3)
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -143,6 +148,20 @@ class TestSerialization:
         doc = {"version": 1, "num_qubits": 2, "target_qubit": 0, "ancilla_qubits": [], "gates": [{"type": "H", "qubit": 5}]}
         with pytest.raises(QubitIndexError):
             deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"version": 1, "num_qubits": 2, "gates": 5}',
+            '{"version": 1, "num_qubits": 2, "gates": null}',
+            '{"version": 1, "num_qubits": 1e400, "gates": []}',  # json reads 1e400 as inf
+            '{"version": 1, "num_qubits": 2, "gates": [{"type": "H", "qubit": 1e400}]}',
+        ],
+        ids=["gates_int", "gates_null", "num_qubits_overflow", "qubit_overflow"],
+    )
+    def test_malformed_fields(self, text):
+        with pytest.raises(CircuitFormatError):
+            deserialize(text)
 
     def test_bad_version(self):
         with pytest.raises(CircuitFormatError):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from _helpers import plan_from_merged
 
 from mscompile import (
     Circuit,
@@ -10,6 +11,7 @@ from mscompile import (
     FittingError,
     Gate,
     SynthesisError,
+    build_crot_circuit,
     deserialize,
     serialize,
 )
@@ -135,10 +137,8 @@ class TestCompileVerify:
 
     def test_tolerance_override(self, tmp_path, capsys):
         row = [-1.855, -2.118, -0.525, -2.118, -1.855, -PI, 0.0]
-        from mscompile import build_from_merged
-
         path = tmp_path / "m.json"
-        path.write_bytes(serialize(build_from_merged(3, PI / 3, -PI / 3, row)))
+        path.write_bytes(serialize(build_crot_circuit(plan_from_merged(3, row))))
         args = ["verify", "--circuit", str(path), "--target", "crot", "--n", "3", "--alpha", "-pi"]
         assert main(args) == 1  # 3-decimal table angles miss 1e-6
         assert main(args + ["--tolerance", "1e-2"]) == 0
@@ -238,8 +238,8 @@ class TestTable:
             # trailing pair equivalent to (-pi, 0)
             assert abs(abs(float(angles[-2])) - round(abs(float(angles[-2])) / PI) * PI) < 2e-3
             assert float(angles[-1]) == pytest.approx(0.0, abs=1e-3)
-            distance = float(row.split("distance=")[1])
-            assert distance < 1e-6
+            block_miss = float(row.split("worst_block=")[1])
+            assert block_miss < 1e-6
 
 
 class TestUsageErrors:
@@ -282,15 +282,35 @@ class TestUsageErrors:
             ["compile", "--kind", "crot", "--n", "257", "--alpha", "pi"],
             ["compile", "--kind", "toffoli", "--n", "256"],
             ["compile", "--kind", "weighted", "--n", "33", "--alphas", ",".join(["0.3"] * 33)],
+            ["series", "--n", "257", "--alpha", "1"],
         ],
-        ids=["crot_angles", "crot", "toffoli", "weighted"],
+        ids=["crot_angles", "crot", "toffoli", "weighted", "series"],
     )
     def test_above_n_max_is_a_synthesis_error(self, tmp_path, capsys, args):
-        if args[0] == "compile":
+        if args[0] in ("compile", "series"):
             args = [*args, "--out", str(tmp_path / "x.json")]
         assert main(args) == 2
         assert "supported up to N" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compile", "--kind", "crot", "--n", "3", "--alpha", "pi"],
+            ["series", "--n", "3", "--alpha", "pi"],
+        ],
+        ids=["compile", "series"],
+    )
+    def test_unwritable_out(self, tmp_path, capsys, args):
+        assert main([*args, "--out", str(tmp_path / "missing" / "x.out")]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_malformed_gates_field(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"version": 1, "num_qubits": 2, "gates": 5}')
+        assert main(["verify", "--circuit", str(path), "--target", "crot", "--n", "2", "--alpha", "pi"]) == 64
+        assert "cannot load circuit" in capsys.readouterr().err
 
     def test_missing_circuit_file(self, tmp_path):
         assert main(["verify", "--circuit", str(tmp_path / "nope.json"), "--target", "crot", "--n", "3", "--alpha", "pi"]) == 64

@@ -63,6 +63,6 @@ def test_theta_matches_gap_construction():
 
 
 def test_phase_reset():
-    assert phase_reset_ok(3, 6, np.pi / 3)
-    assert not phase_reset_ok(3, 4, np.pi / 3)
-    assert phase_reset_ok(5, 20, np.pi / 5)
+    assert phase_reset_ok(6, np.pi / 3)
+    assert not phase_reset_ok(4, np.pi / 3)
+    assert phase_reset_ok(20, np.pi / 5)

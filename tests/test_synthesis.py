@@ -161,7 +161,7 @@ class TestPadding:
         padded = pad_for_phase_reset(plan)
         assert padded.num_pulses == 6
         assert padded.phis[5:] == (np.pi, 0.0)
-        assert phase_reset_ok(3, padded.num_pulses, padded.tau)
+        assert phase_reset_ok(padded.num_pulses, padded.tau)
 
     def test_pad_noop_at_multiple(self):
         plan = CompilationPlan(3, np.pi / 3, -np.pi / 3, tuple(np.linspace(0, 1, 7)))
