@@ -34,8 +34,8 @@ class QubitIndexError(CircuitFormatError):
     """A gate references a qubit outside the circuit."""
 
 
-class PhaseResetError(RuntimeError):
-    """Plan would leak control-dependent phases (tau * L not a 2*pi multiple)."""
+class PhaseResetError(ValueError):
+    """A caller-built plan would leak control-dependent phases (tau * L not a 2*pi multiple)."""
 
 
 @dataclass(frozen=True)

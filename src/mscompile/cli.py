@@ -1,13 +1,14 @@
 """Command-line surface: compile, print angles, dump series, verify.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 synthesis failed,
-64 usage error.
+64 usage error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -248,7 +249,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout: end quietly, as a SIGPIPE death would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # keeps the exit-time flush quiet
+        return 141  # 128 + SIGPIPE
     except SynthesisError as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return SYNTHESIS_ERROR

@@ -86,19 +86,16 @@ def fit_weight_dependent(n: int, alphas) -> tuple[TrigSeries, TrigSeries]:
     """Even A and odd B with (A, B)(theta_q) = (cos, -sin)(alphas[q]/2).
 
     The 2N nodes +-theta_q are equispaced (spacing pi/N), so A and B are
-    Fejer sums with M = 2N, both of degree 2N - 1, padded to the quadruple
-    degree budget 2N (a pulse train of length 4N).  Both are flat at every
-    node.
+    Fejer sums with M = 2N, both of degree 2N - 1 (a pulse train of length
+    4N - 2, which padding takes to 4N).  Both are flat at every node.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    thetas = np.array(compute_thetas(n, *weighted_params(n)))
     alphas = np.array([float(a) for a in alphas])
     if len(alphas) != n:
         raise ValueError(f"need one angle per control weight 0..{n - 1}, got {len(alphas)}")
-    thetas = np.array(compute_thetas(n, *weighted_params(n)))
     nodes = np.concatenate([thetas, -thetas])
     dips = 2.0 * np.sin(alphas / 4.0) ** 2
     sines = np.sin(alphas / 2.0)
     a = _fejer_series(EVEN, nodes, -np.concatenate([dips, dips]), base=1.0)
     b = _fejer_series(ODD, nodes, np.concatenate([-sines, sines]))
-    return a.padded(2 * n), b.padded(2 * n)
+    return a, b

@@ -214,13 +214,13 @@ def _peel(gcoef: np.ndarray, num_pulses: int) -> list[float]:
     return phis_rev
 
 
-def extract_angles(
-    a: TrigSeries, b: TrigSeries, c: TrigSeries, d: TrigSeries, degree: int
-) -> tuple[float, ...]:
-    """Angles phi_0..phi_L (L = 2*degree) realizing a normalized quadruple.
+def extract_angles(a: TrigSeries, b: TrigSeries, c: TrigSeries, d: TrigSeries) -> tuple[float, ...]:
+    """Angles phi_0..phi_L realizing a normalized quadruple.
 
+    L = 2*degree, with degree the largest of the four series' degrees.
     Peels one rotation per degree off the matrix Laurent polynomial (exact
-    layer stripping, Haah 2019).  Raises ExtractionError if the train misses
+    layer stripping, Haah 2019); a vanishing top coefficient peels as the
+    identity pair (pi, 0).  Raises ExtractionError if the train misses
     the quadruple by more than 1e-9 in operator norm at any angle of the
     grid theta_j = 2*pi*j/M, M = max(4*(degree + 1), 32).  The miss at
     2*pi - theta is the miss at theta conjugated by Z, so only
@@ -231,10 +231,7 @@ def extract_angles(
         for s in pair:
             if s.parity != parity:
                 raise ValueError(f"expected a {parity} series, got {s.parity}")
-    for s in (a, b, c, d):
-        if s.degree > degree:
-            raise ValueError(f"series degree {s.degree} exceeds budget {degree}")
-
+    degree = max(s.degree for s in (a, b, c, d))
     num_pulses = 2 * degree
     # matrix coefficients of F in the half-angle variable w = exp(i*theta/2):
     # the Laurent coefficient k of each series multiplies w^(2k)
@@ -265,6 +262,8 @@ def pad_for_phase_reset(plan: CompilationPlan) -> CompilationPlan:
 
     Each appended pair (pi, 0) contributes Rx(-theta) Rx(theta) = 1 on the
     target while the extra pulses complete the pairwise control phases.
+    It is the only stage that lengthens a train: crot goes from 2N - 2
+    pulses to 2N, weighted from 4N - 2 to 4N.
     """
     block = 2 * plan.n
     target = -(-plan.num_pulses // block) * block
@@ -346,7 +345,7 @@ def _weighted_quadruple(n: int, alphas) -> tuple[TrigSeries, TrigSeries, TrigSer
     nodes = np.concatenate([thetas, -thetas])
     alphas = np.asarray(alphas, dtype=float)
     phases = np.concatenate([-alphas, alphas]) / 2.0  # w_j = exp(i*phases[j])
-    fejer = _fejer(2 * n, np.subtract.outer(_completion_grid(2 * n), nodes))
+    fejer = _fejer(2 * n, np.subtract.outer(_completion_grid(2 * n - 1), nodes))
     gaps = 4.0 * np.sin(np.subtract.outer(phases, phases) / 2.0) ** 2
     p = 0.5 * np.einsum("ij,ij->i", fejer, fejer @ gaps)
     c, d = complete(p, np.exp(1j * nodes), 2 * n - 1, +1)
@@ -355,23 +354,20 @@ def _weighted_quadruple(n: int, alphas) -> tuple[TrigSeries, TrigSeries, TrigSer
 
 def crot_angles(n: int, alpha: float) -> CompilationPlan:
     """Angle sequence implementing Rz(alpha) on the target iff all N-1
-    controls are |1>, using 2N global pulses.  N above CROT_N_MAX raises
-    SynthesisError."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    alpha = canonical_angle(alpha)
+    controls are |1>, using 2N global pulses: a quadruple of degree N - 1
+    (2N - 2 pulses) plus one identity pair from ``pad_for_phase_reset``.
+    alpha is used as given; every stage reads it through 4*pi-periodic
+    functions.  N above CROT_N_MAX raises SynthesisError."""
     tau, h = default_params(n)
-    a, b, c, d = _crot_quadruple(n, alpha)
-    phis = extract_angles(a, b, c, d, n - 1)
-    plan = CompilationPlan(n, tau, h, phis)
+    plan = CompilationPlan(n, tau, h, extract_angles(*_crot_quadruple(n, alpha)))
     return pad_for_phase_reset(plan)
 
 
 def weighted_angles(n: int, alphas) -> CompilationPlan:
-    """Angle sequence applying Rx(alphas[q]) at control weight q (4N pulses).
-    N above WEIGHTED_N_MAX raises SynthesisError."""
-    a, b, c, d = _weighted_quadruple(n, alphas)
-    phis = extract_angles(a, b, c, d, 2 * n)
-    tau, h = weighted_params(n)
-    plan = CompilationPlan(n, tau, h, phis)
+    """Angle sequence applying Rx(alphas[q]) at control weight q, using 4N
+    global pulses: a quadruple of degree 2N - 1 (4N - 2 pulses) plus one
+    identity pair from ``pad_for_phase_reset``.  N above WEIGHTED_N_MAX
+    raises SynthesisError."""
+    phis = extract_angles(*_weighted_quadruple(n, alphas))
+    plan = CompilationPlan(n, *weighted_params(n), phis)
     return pad_for_phase_reset(plan)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from _helpers import plan_from_merged
 
+import mscompile
 from mscompile import (
     Circuit,
     CompletionError,
@@ -317,3 +322,24 @@ class TestUsageErrors:
 
     def test_weighted_needs_alphas(self, tmp_path):
         assert main(["compile", "--kind", "weighted", "--n", "3", "--out", str(tmp_path / "w.json")]) == 64
+
+    def test_closed_stdout_exits_quietly(self):
+        # the pipe's reader is gone before the child writes its first line
+        src = str(Path(mscompile.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = "import sys; from mscompile.cli import main; sys.exit(main())"
+        cmd = [sys.executable, "-c", script, "crot-angles", "--n", "64", "--alpha", "1"]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 141  # 128 + SIGPIPE
+        assert err == b""
+
+
+def test_every_exported_exception_maps_to_an_exit_code():
+    # SynthesisError exits 2 and ValueError 64; anything else would escape main
+    exported = [getattr(mscompile, name) for name in mscompile.__all__]
+    errors = [obj for obj in exported if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert mscompile.PhaseResetError in errors and len(errors) == 9
+    for cls in errors:
+        assert issubclass(cls, (SynthesisError, ValueError)), cls

@@ -80,16 +80,17 @@ def _quadruples():
     rng = np.random.default_rng(10)
     for n in (2, 3, 5, 8, 12):
         for alpha in (np.pi, 0.3, rng.uniform(-2 * np.pi, 2 * np.pi)):
-            yield _crot_quadruple(n, alpha), n - 1
+            yield _crot_quadruple(n, alpha)
     for n in (2, 3, 4, 6):
         for _ in range(3):
-            yield _weighted_quadruple(n, rng.uniform(-np.pi, np.pi, n)), 2 * n
+            yield _weighted_quadruple(n, rng.uniform(-np.pi, np.pi, n))
 
 
 def test_half_grid_finds_the_full_grid_maximum():
     """The miss over theta_j, j <= M/2, peaks where the miss over all M points does."""
-    for quad, degree in _quadruples():
-        phis = extract_angles(*quad, degree)
+    for quad in _quadruples():
+        phis = extract_angles(*quad)
+        degree = max(s.degree for s in quad)
         m = max(4 * (degree + 1), 32)
         thetas = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
         misses = norm_2x2(np.stack([evaluate_plan(phis, t) - quadruple_matrix(*quad, t) for t in thetas]))
@@ -105,9 +106,10 @@ def test_check_simulates_every_grid_point_or_its_mirror(monkeypatch):
         return evaluate_plan(phis, theta)
 
     monkeypatch.setattr(synthesis, "evaluate_plan", spy)
-    for quad, degree in _quadruples():
+    for quad in _quadruples():
         seen.clear()
-        extract_angles(*quad, degree)
+        extract_angles(*quad)
+        degree = max(s.degree for s in quad)
         m = max(4 * (degree + 1), 32)
         grid = np.exp(2j * np.pi * np.arange(m) / m)
         points = np.exp(1j * np.array(seen))
@@ -124,7 +126,7 @@ def test_quadruple_off_normalization_is_an_extraction_error(which):
     coeffs[-1] += 1e-6
     quad[which] = TrigSeries(s.parity, tuple(coeffs))
     with pytest.raises(ExtractionError, match="reconstruction error"):
-        extract_angles(*quad, 8)
+        extract_angles(*quad)
 
 
 def _random_unitary(rng, dim: int, scale: float) -> np.ndarray:

@@ -113,13 +113,13 @@ class TestExtractAngles:
     def test_constant_identity(self):
         a = TrigSeries(EVEN, (1.0,))
         z = TrigSeries.zero
-        phis = extract_angles(a, z("odd"), z("odd"), z("even"), 0)
+        phis = extract_angles(a, z("odd"), z("odd"), z("even"))
         assert phis == (0.0,)
 
     def test_pure_x_rotation(self):
         a = TrigSeries(EVEN, (0.0, 1.0))
         b = TrigSeries(ODD, (0.0, -1.0))
-        phis = extract_angles(a, b, TrigSeries.zero("odd", 1), TrigSeries.zero("even", 1), 1)
+        phis = extract_angles(a, b, TrigSeries.zero("odd", 1), TrigSeries.zero("even", 1))
         np.testing.assert_allclose(phis, (0.0, 0.0, 0.0), atol=1e-9)
         theta = 0.83
         np.testing.assert_allclose(evaluate_plan(phis, theta), rx(2 * theta), atol=1e-12)
@@ -130,10 +130,10 @@ class TestExtractAngles:
         a = TrigSeries(EVEN, (np.nan, 0.5))
         z = TrigSeries.zero
         with pytest.raises(ExtractionError, match="nan"):
-            extract_angles(a, z("odd", 1), z("odd", 1), z("even", 1), 1)
+            extract_angles(a, z("odd", 1), z("odd", 1), z("even", 1))
 
     def test_crot_n3_length_before_padding(self):
-        phis = extract_angles(*_crot_quadruple(3, np.pi), 2)
+        phis = extract_angles(*_crot_quadruple(3, np.pi))
         assert len(phis) - 1 == 4  # L = 2N - 2
 
     def test_round_trip_from_sampled_plan(self):
@@ -149,7 +149,7 @@ class TestExtractAngles:
             b = series_from_samples(comps[:, 1], half, "odd")
             c = series_from_samples(comps[:, 2], half, "odd")
             d = series_from_samples(comps[:, 3], half, "even")
-            recovered = extract_angles(a, b, c, d, half)
+            recovered = extract_angles(a, b, c, d)
             for t in rng.uniform(0, 2 * np.pi, 6):
                 err = np.linalg.norm(evaluate_plan(recovered, t) - evaluate_plan(phis, t), ord=2)
                 assert err < 1e-9
@@ -222,6 +222,19 @@ class TestCrotAngles:
         with pytest.raises(CompletionError, match="controlled block misses"):
             crot_angles(n, alpha)
 
+    def test_alpha_reaches_the_quadruple_unchanged(self, monkeypatch):
+        # a fold into (-2*pi, 2*pi] once turned -0.3 into -0.3000000000000007
+        seen = []
+        quadruple = synthesis._crot_quadruple
+        monkeypatch.setattr(synthesis, "_crot_quadruple", lambda n, alpha: seen.append(alpha) or quadruple(n, alpha))
+        crot_angles(5, -0.3)
+        assert seen == [-0.3]
+
+    def test_compiles_beyond_two_pi(self):
+        plan = crot_angles(6, 3 * np.pi)
+        assert np.linalg.norm(evaluate_plan(plan.phis, np.pi) - rz(3 * np.pi), ord=2) <= 1e-9
+        assert node_block_miss(plan, crot_targets(6, 3 * np.pi)) <= 1e-9
+
     def test_quadruple_normalization_over_sweep(self):
         for n in range(2, 9):
             for alpha in (0.3, np.pi / 2, np.pi, 2 * np.pi):
@@ -238,6 +251,21 @@ class TestWeightedAngles:
         alphas = np.random.default_rng(100 * n + seed).uniform(-np.pi, np.pi, size=n)
         circ = build_crot_circuit(weighted_angles(n, alphas))
         assert phase_distance(circuit_unitary(circ), ideal_weighted(n, alphas)) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_pad_alone_lengthens_the_train(self, monkeypatch, n):
+        # extraction stops at 2 * degree = 4N - 2 pulses; the identity pair is padding's
+        seen = []
+        pad = synthesis.pad_for_phase_reset
+
+        def spy(plan):
+            padded = pad(plan)
+            seen.append((plan.num_pulses, padded.num_pulses))
+            return padded
+
+        monkeypatch.setattr(synthesis, "pad_for_phase_reset", spy)
+        weighted_angles(n, np.linspace(-1.0, 1.3, n))
+        assert seen == [(4 * n - 2, 4 * n)]
 
     def test_compiles_at_n_max(self):
         # the largest weighted N a test compiles, so README's N_max (N_max + 1 is in test_cli)
@@ -257,12 +285,13 @@ def test_plan_validation():
 
 def test_extraction_matches_quadruple_on_grid():
     rng = np.random.default_rng(18)
-    cases = [(_crot_quadruple(n, rng.uniform(-2 * np.pi, 2 * np.pi)), n - 1) for n in range(2, 8)]
-    cases += [(_weighted_quadruple(n, rng.uniform(-np.pi, np.pi, n)), 2 * n) for n in (2, 3, 3)]
+    cases = [_crot_quadruple(n, rng.uniform(-2 * np.pi, 2 * np.pi)) for n in range(2, 8)]
+    cases += [_weighted_quadruple(n, rng.uniform(-np.pi, np.pi, n)) for n in (2, 3, 3)]
     # peels of L = 30..62, off the library's own grid
-    cases += [(_crot_quadruple(n, rng.uniform(-2 * np.pi, 2 * np.pi)), n - 1) for n in (16, 24, 32)]
-    for quad, degree in cases:
-        phis = extract_angles(*quad, degree)
+    cases += [_crot_quadruple(n, rng.uniform(-2 * np.pi, 2 * np.pi)) for n in (16, 24, 32)]
+    for quad in cases:
+        degree = max(s.degree for s in quad)
+        phis = extract_angles(*quad)
         assert len(phis) == 2 * degree + 1
         for theta in rng.uniform(0, 2 * np.pi, 16):
             err = np.linalg.norm(evaluate_plan(phis, theta) - quadruple_matrix(*quad, theta), ord=2)
