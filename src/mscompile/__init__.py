@@ -41,6 +41,7 @@ from .simulate import (
     ideal_weighted,
     phase_distance,
     project_ancilla,
+    verify_circuit,
     worst_block,
 )
 
@@ -85,5 +86,6 @@ __all__ = [
     "ideal_weighted",
     "phase_distance",
     "project_ancilla",
+    "verify_circuit",
     "worst_block",
 ]

@@ -184,23 +184,45 @@ def serialize(circuit: Circuit) -> bytes:
     return json.dumps(doc, indent=1).encode()
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer as is; a bool, float or string is not one."""
+    if type(value) is not int:
+        raise CircuitFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number (integer or float) as a float; a bool or string is not one."""
+    if type(value) not in (int, float):
+        raise CircuitFormatError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def deserialize(data: bytes | str) -> Circuit:
-    """Parse the JSON encoding; malformed input raises CircuitFormatError."""
+    """Parse the JSON encoding; malformed input raises CircuitFormatError.
+
+    Qubit indices and counts must be JSON integers, angles and tau JSON
+    numbers, and version the integer 1: nothing is coerced.
+    """
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise CircuitFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CircuitFormatError("top level must be an object")
-    if doc.get("version") != 1:
-        raise CircuitFormatError(f"unsupported format version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != 1:
+        raise CircuitFormatError(f"unsupported format version {version!r}")
     try:
-        num_qubits = int(doc["num_qubits"])
-        target = int(doc.get("target_qubit", 0))
-        ancillas = frozenset(int(q) for q in doc.get("ancilla_qubits", []))
+        num_qubits = _integer(doc["num_qubits"], "num_qubits")
         raw_gates = doc["gates"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CircuitFormatError(f"missing or malformed field: {exc}") from exc
+    except KeyError as exc:
+        raise CircuitFormatError(f"missing field: {exc}") from exc
+    target = _integer(doc.get("target_qubit", 0), "target_qubit")
+    raw_ancillas = doc.get("ancilla_qubits", [])
+    if not isinstance(raw_ancillas, list):
+        raise CircuitFormatError(f"ancilla_qubits must be a list, got {type(raw_ancillas).__name__}")
+    ancillas = frozenset(_integer(q, "ancilla qubit") for q in raw_ancillas)
     if not isinstance(raw_gates, list):
         raise CircuitFormatError(f"gates must be a list, got {type(raw_gates).__name__}")
     gates = []
@@ -210,11 +232,11 @@ def deserialize(data: bytes | str) -> Circuit:
         kind = entry["type"]
         try:
             if kind == MS:
-                gates.append(Gate.ms(float(entry["tau"])))
+                gates.append(Gate.ms(_number(entry["tau"], "tau")))
             elif kind == H:
-                gates.append(Gate.h(int(entry["qubit"])))
+                gates.append(Gate.h(_integer(entry["qubit"], "qubit")))
             elif kind in _ROTATIONS:
-                gates.append(Gate(kind, int(entry["qubit"]), float(entry["angle"])))
+                gates.append(Gate(kind, _integer(entry["qubit"], "qubit"), _number(entry["angle"], "angle")))
             else:
                 raise UnknownGateError(f"unknown gate type {kind!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

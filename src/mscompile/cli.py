@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from . import simulate
 from .circuit import (
     CircuitFormatError,
     build_crot_circuit,
@@ -23,15 +24,6 @@ from .circuit import (
     to_text,
 )
 from .series import SynthesisError
-from .simulate import (
-    circuit_unitary,
-    ideal_crot,
-    ideal_toffoli,
-    ideal_weighted,
-    phase_distance,
-    project_ancilla,
-    worst_block,
-)
 from .subspace import compute_thetas, default_params
 from .synthesis import _crot_quadruple, crot_angles, weighted_angles
 
@@ -157,38 +149,13 @@ def cmd_verify(args) -> int:
     except (OSError, CircuitFormatError) as exc:
         print(f"error: cannot load circuit: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    u = circuit_unitary(circ)
-
-    leakage = 0.0
+    verdict = simulate.verify_circuit(circ, args.target, args.n, args.alpha, args.alphas, args.tolerance)
     if args.target == "toffoli":
-        if circ.num_qubits != args.n + 1 or len(circ.ancilla_qubits) != 1:
-            print("error: toffoli target expects n+1 qubits and one ancilla", file=sys.stderr)
-            return USAGE_ERROR
-        ancilla = next(iter(circ.ancilla_qubits))
-        u, leakage = project_ancilla(u, ancilla, 0)
-        ideal, target = ideal_toffoli(args.n), 0
-        print(f"ancilla_leakage = {leakage:.3e}")
-    else:
-        if circ.num_qubits != args.n:
-            print(f"error: circuit has {circ.num_qubits} qubits, target expects {args.n}", file=sys.stderr)
-            return USAGE_ERROR
-        target = circ.target_qubit
-        if args.target == "crot":
-            if args.alpha is None:
-                print("error: crot target needs --alpha", file=sys.stderr)
-                return USAGE_ERROR
-            ideal = ideal_crot(args.n, args.alpha, target=target)
-        else:
-            if args.alphas is None:
-                print("error: weighted target needs --alphas", file=sys.stderr)
-                return USAGE_ERROR
-            ideal = ideal_weighted(args.n, args.alphas, target=target)
-
-    block_miss = worst_block(u, ideal, target)
-    print(f"worst_block = {block_miss:.3e}")
-    verdict = "PASS" if block_miss <= args.tolerance and leakage <= args.tolerance else "FAIL"
-    print(f"phase_distance = {phase_distance(u, ideal):.6e}  tolerance = {args.tolerance:.1e}  {verdict}")
-    return 0 if verdict == "PASS" else VERIFY_ERROR
+        print(f"ancilla_leakage = {verdict.leakage:.3e}")
+    print(f"worst_block = {verdict.worst_block:.3e}")
+    word = "PASS" if verdict.passed else "FAIL"
+    print(f"phase_distance = {verdict.phase_distance:.6e}  tolerance = {args.tolerance:.1e}  {word}")
+    return 0 if verdict.passed else VERIFY_ERROR
 
 
 def cmd_series(args) -> int:
@@ -210,7 +177,7 @@ def cmd_table(args) -> int:
     print("merged z-rotation angles for the controlled-iZ (alpha = -pi), 3 decimals; worst_block of the circuit")
     for n in range(3, 7):
         plan = crot_angles(n, -np.pi)
-        block_miss = worst_block(circuit_unitary(build_crot_circuit(plan)), ideal_crot(n, -np.pi))
+        block_miss = simulate.verify_circuit(build_crot_circuit(plan), "crot", n, alpha=-np.pi).worst_block
         angles = "  ".join(f"{m:6.3f}" for m in plan_merged_angles(plan))
         print(f"N={n}  tau=pi/{n}  [{angles}]  worst_block={block_miss:.2e}")
     return 0

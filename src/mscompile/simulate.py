@@ -1,4 +1,5 @@
-"""Exact unitary simulation, ideal reference unitaries and block diagnostics.
+"""Exact unitary simulation, ideal reference unitaries, block diagnostics and
+the verify verdict (``verify_circuit``).
 
 Qubit 0 is the least significant bit of the basis-state index, so with the
 default target qubit 0 the index reads (controls << 1) | target_bit.
@@ -28,6 +29,7 @@ O(4^N); with every qubit active this is the plain dense simulation.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -282,3 +284,53 @@ def project_ancilla(u: np.ndarray, ancilla: int, bit: int) -> tuple[np.ndarray, 
     leak = split[:, 1 - bit, :, :, bit, :].view(float)
     col_sq = np.einsum("abij,abij->ij", leak, leak).reshape(hi, lo, 2).sum(axis=-1)
     return block, float(np.sqrt(np.max(col_sq)))
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """What ``verify_circuit`` measured, and whether the circuit passed."""
+
+    worst_block: float
+    leakage: float  # of the Toffoli ancilla; 0.0 for the other kinds
+    phase_distance: float
+    passed: bool
+
+
+def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None, tolerance: float = 1e-6) -> Verdict:
+    """Simulate circuit and judge it against the ideal gate of kind on n qubits.
+
+    kind is "crot" (needs alpha), "toffoli" (n logical qubits plus one
+    ancilla, projected onto the ancilla entering and leaving |0>) or
+    "weighted" (needs alphas).  The circuit passes iff ``worst_block`` and
+    the ancilla leakage are both at most tolerance; a NaN passes nothing.
+    ``phase_distance`` is reported, not judged.  A qubit count that does not
+    fit kind, a missing angle, or a tolerance that is negative or not finite
+    raises ValueError before anything is simulated.
+    """
+    if not 0.0 <= tolerance < np.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
+    if kind == "toffoli":
+        if circuit.num_qubits != n + 1 or len(circuit.ancilla_qubits) != 1:
+            raise ValueError("toffoli target expects n+1 qubits and one ancilla")
+    elif kind in ("crot", "weighted"):
+        if circuit.num_qubits != n:
+            raise ValueError(f"circuit has {circuit.num_qubits} qubits, target expects {n}")
+        if kind == "crot" and alpha is None:
+            raise ValueError("crot target needs --alpha")
+        if kind == "weighted" and alphas is None:
+            raise ValueError("weighted target needs --alphas")
+    else:
+        raise ValueError(f"unknown target kind {kind!r}")
+
+    u = circuit_unitary(circuit)
+    leakage, target = 0.0, circuit.target_qubit
+    if kind == "toffoli":
+        u, leakage = project_ancilla(u, next(iter(circuit.ancilla_qubits)), 0)
+        ideal, target = ideal_toffoli(n), 0
+    elif kind == "crot":
+        ideal = ideal_crot(n, alpha, target=target)
+    else:
+        ideal = ideal_weighted(n, alphas, target=target)
+    block_miss = worst_block(u, ideal, target)
+    passed = block_miss <= tolerance and leakage <= tolerance
+    return Verdict(block_miss, leakage, phase_distance(u, ideal), passed)

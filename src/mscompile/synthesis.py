@@ -180,38 +180,33 @@ def _step_projectors(phi: float) -> tuple[np.ndarray, np.ndarray]:
     return t_plus, np.eye(2) - t_plus
 
 
-def _peel(gcoef: np.ndarray, num_pulses: int) -> list[float]:
+def _peel(live: np.ndarray) -> tuple[list[float], np.ndarray]:
     """Strip factors Rz(phi) Rx(theta) Rz(-phi) off the right end.
 
-    gcoef holds matrix coefficients over w-exponents -L..L.  Returns
-    [phi_L, ..., phi_1]; the remaining constant term determines phi_0.
+    live holds the L + 1 matrix coefficients of w-exponents -L, -L+2, ..., L;
+    every step leaves those of the next layer, one fewer (Haah's layer
+    structure: at layer ell only ell's parity, -ell..ell, is nonzero).
+    Returns [phi_L, ..., phi_1] and the constant term that determines phi_0.
     """
-    scale = float(np.max(np.abs(gcoef)))
+    scale = float(np.max(np.abs(live)))
     phis_rev: list[float] = []
-    ell = num_pulses
-    offset = num_pulses
-    while ell >= 1:
-        lead = gcoef[offset + ell]
+    while len(live) > 1:
+        lead = live[-1]
         if np.linalg.norm(lead) <= 1e-13 * scale:
             # true degree is lower: the two rightmost steps form an identity
             # pair Rx(-theta) Rx(theta), i.e. (phi_{ell-1}, phi_ell) = (pi, 0)
             phis_rev.extend([0.0, np.pi])
-            ell -= 2
+            live = live[1:-1]
             continue
         # phi is the relative phase of lead's dominant right singular vector
         # v, and arg(conj(v_0) v_1) = arg((lead^H lead)[0, 1])
         phi = float(-np.angle(-np.vdot(lead[:, 0], lead[:, 1])))
         t_plus, t_minus = _step_projectors(phi)
-        new = np.zeros_like(gcoef)
-        new[:-1] += gcoef[1:] @ t_plus
-        new[1:] += gcoef[:-1] @ t_minus
-        # the exponents ell+1 and ell must cancel structurally
-        new[offset + ell :] = 0.0
-        new[: offset - ell] = 0.0
-        gcoef[:] = new
+        # exponent e of the next layer is (e + 1) @ t_plus + (e - 1) @ t_minus;
+        # the top and bottom exponents cancel structurally and are not formed
+        live = live[1:] @ t_plus + live[:-1] @ t_minus
         phis_rev.append(phi)
-        ell -= 1
-    return phis_rev
+    return phis_rev, live[0]
 
 
 def extract_angles(a: TrigSeries, b: TrigSeries, c: TrigSeries, d: TrigSeries) -> tuple[float, ...]:
@@ -232,13 +227,10 @@ def extract_angles(a: TrigSeries, b: TrigSeries, c: TrigSeries, d: TrigSeries) -
             if s.parity != parity:
                 raise ValueError(f"expected a {parity} series, got {s.parity}")
     degree = max(s.degree for s in (a, b, c, d))
-    num_pulses = 2 * degree
     # matrix coefficients of F in the half-angle variable w = exp(i*theta/2):
-    # the Laurent coefficient k of each series multiplies w^(2k)
-    gcoef = np.zeros((2 * num_pulses + 1, 2, 2), dtype=complex)
-    gcoef[::2] = _su2_stack(*(to_laurent(s.padded(degree)) for s in (a, b, c, d)))
-    phis_rev = _peel(gcoef, num_pulses)
-    g0 = gcoef[num_pulses]
+    # the Laurent coefficient k of each series multiplies w^(2k), so the
+    # stack is the top layer, exponents -L, -L+2, ..., L
+    phis_rev, g0 = _peel(_su2_stack(*(to_laurent(s.padded(degree)) for s in (a, b, c, d))))
     phi0 = float(-2.0 * np.angle(g0[0, 0]))
     phis = np.array([phi0] + phis_rev[::-1])
 
@@ -251,7 +243,7 @@ def extract_angles(a: TrigSeries, b: TrigSeries, c: TrigSeries, d: TrigSeries) -
     targets = _su2_stack(*(s.evaluate(thetas) for s in (a, b, c, d)))
     misses = np.stack([evaluate_plan(phis, t) for t in thetas]) - targets
     worst = float(np.max(norm_2x2(misses)))
-    log.debug("extraction residual %.3e (L = %d)", worst, num_pulses)
+    log.debug("extraction residual %.3e (L = %d)", worst, 2 * degree)
     if not worst <= RECONSTRUCTION_TOL:  # a NaN miss fails too
         raise ExtractionError(f"reconstruction error {worst:.3e} exceeds {RECONSTRUCTION_TOL}")
     return tuple(canonical_angle(p) for p in phis)

@@ -4,6 +4,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from mscompile import EVEN, ODD, Circuit, CompilationPlan, TrigSeries, compute_thetas, default_params, evaluate_plan
+from mscompile.series import to_laurent
+from mscompile.su2 import canonical_angle
 
 X2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 H2 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -89,6 +91,47 @@ def series_from_samples(values: np.ndarray, degree: int, parity: str) -> TrigSer
         coeffs = [0.0]
         coeffs += [-2.0 * float(spec[m].imag) / k for m in range(1, degree + 1)]
     return TrigSeries(parity, tuple(coeffs))
+
+
+def full_width_angles(a, b, c, d) -> tuple[float, ...]:
+    """Reference peel for extract_angles, without its reconstruction check.
+
+    Holds the matrix coefficients of every w-exponent -L..L, the wrong
+    parity as zeros, multiplies the whole array by both step projectors and
+    then zeroes the exponents that must cancel: the full-width form of the
+    layer stripping that extract_angles does on the live layer alone.
+    """
+    degree = max(s.degree for s in (a, b, c, d))
+    av, bv, cv, dv = (to_laurent(s.padded(degree)) for s in (a, b, c, d))
+    num_pulses = 2 * degree
+    gcoef = np.zeros((2 * num_pulses + 1, 2, 2), dtype=complex)
+    gcoef[::2, 0, 0] = av + 1j * dv
+    gcoef[::2, 1, 1] = av - 1j * dv
+    gcoef[::2, 0, 1] = 1j * bv + cv
+    gcoef[::2, 1, 0] = 1j * bv - cv
+    scale = float(np.max(np.abs(gcoef)))
+    phis_rev = []
+    ell = offset = num_pulses
+    while ell >= 1:
+        lead = gcoef[offset + ell]
+        if np.linalg.norm(lead) <= 1e-13 * scale:
+            phis_rev.extend([0.0, np.pi])
+            ell -= 2
+            continue
+        phi = float(-np.angle(-np.vdot(lead[:, 0], lead[:, 1])))
+        e = np.exp(1j * phi)
+        t_plus = 0.5 * np.array([[1.0, -np.conj(e)], [-e, 1.0]])
+        t_minus = np.eye(2) - t_plus
+        new = np.zeros_like(gcoef)
+        new[:-1] += gcoef[1:] @ t_plus
+        new[1:] += gcoef[:-1] @ t_minus
+        new[offset + ell :] = 0.0
+        new[: offset - ell] = 0.0
+        gcoef[:] = new
+        phis_rev.append(phi)
+        ell -= 1
+    phi0 = float(-2.0 * np.angle(gcoef[num_pulses][0, 0]))
+    return tuple(canonical_angle(p) for p in [phi0] + phis_rev[::-1])
 
 
 def crot_targets(n: int, alpha: float) -> list[np.ndarray]:

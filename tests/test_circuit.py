@@ -156,8 +156,37 @@ class TestSerialization:
             '{"version": 1, "num_qubits": 2, "gates": null}',
             '{"version": 1, "num_qubits": 1e400, "gates": []}',  # json reads 1e400 as inf
             '{"version": 1, "num_qubits": 2, "gates": [{"type": "H", "qubit": 1e400}]}',
+            '{"version": 1, "num_qubits": 3, "gates": [{"type": "RX", "qubit": 1.7, "angle": 0.3}]}',
+            '{"version": 1, "num_qubits": 2.9, "gates": []}',
+            '{"version": 1, "num_qubits": 2, "target_qubit": 0.5, "gates": []}',
+            '{"version": 1, "num_qubits": 3, "ancilla_qubits": [2.2], "gates": []}',
+            '{"version": 1, "num_qubits": 3, "gates": [{"type": "H", "qubit": "2"}]}',
+            '{"version": 1, "num_qubits": true, "gates": []}',
+            '{"version": 1, "num_qubits": 2, "gates": [{"type": "RZ", "qubit": 0, "angle": true}]}',
+            '{"version": 1, "num_qubits": 2, "gates": [{"type": "RZ", "qubit": 0, "angle": "0.5"}]}',
+            '{"version": 1, "num_qubits": 2, "gates": [{"type": "MS", "tau": false}]}',
+            '{"version": 1, "num_qubits": 2, "ancilla_qubits": [true], "gates": []}',
+            '{"version": 1.0, "num_qubits": 2, "gates": []}',
+            '{"version": true, "num_qubits": 2, "gates": []}',
         ],
-        ids=["gates_int", "gates_null", "num_qubits_overflow", "qubit_overflow"],
+        ids=[
+            "gates_int",
+            "gates_null",
+            "num_qubits_overflow",
+            "qubit_overflow",
+            "qubit_float",
+            "num_qubits_float",
+            "target_float",
+            "ancilla_float",
+            "qubit_string",
+            "num_qubits_bool",
+            "angle_bool",
+            "angle_string",
+            "tau_bool",
+            "ancilla_bool",
+            "version_float",
+            "version_bool",
+        ],
     )
     def test_malformed_fields(self, text):
         with pytest.raises(CircuitFormatError):

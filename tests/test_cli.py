@@ -148,6 +148,33 @@ class TestCompileVerify:
         assert main(args) == 1  # 3-decimal table angles miss 1e-6
         assert main(args + ["--tolerance", "1e-2"]) == 0
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf"])
+    def test_tolerance_must_be_finite_and_non_negative(self, tmp_path, capsys, tolerance):
+        path = tmp_path / "c.json"
+        assert main(["compile", "--kind", "crot", "--n", "4", "--alpha", "pi/3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        args = ["verify", "--circuit", str(path), "--target", "crot", "--n", "4", "--alpha", "pi/3"]
+        assert main([*args, f"--tolerance={tolerance}"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: tolerance must be finite")
+        assert main([*args, "--tolerance=0"]) == 1  # zero is a valid, if strict, tolerance
+
+    def test_verdict_comes_from_the_library(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "c.json"
+        assert main(["compile", "--kind", "crot", "--n", "3", "--alpha", "pi", "--out", str(path)]) == 0
+        calls = []
+        real = mscompile.simulate.verify_circuit
+
+        def spy(circuit, *args, **kwargs):
+            calls.append((*args, kwargs))
+            return real(circuit, *args, **kwargs)
+
+        monkeypatch.setattr(mscompile.simulate, "verify_circuit", spy)
+        assert main(["verify", "--circuit", str(path), "--target", "crot", "--n", "3", "--alpha", "pi"]) == 0
+        assert calls == [("crot", 3, PI, None, 1e-6, {})]
+        assert main(["table"]) == 0
+        assert [c[:2] for c in calls[1:]] == [("crot", n) for n in range(3, 7)]
+
     def test_wrong_controlled_angle_fails(self, tmp_path, capsys):
         # the all-controls-on block weighs 2^-9 in the trace at N = 10, so
         # phase_distance alone (6.1e-7) would pass this circuit

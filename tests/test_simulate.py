@@ -16,9 +16,11 @@ from mscompile import (
     ideal_weighted,
     phase_distance,
     project_ancilla,
+    verify_circuit,
     weighted_angles,
     worst_block,
 )
+from mscompile import simulate
 from mscompile.simulate import _fused_ops
 from mscompile.su2 import rx, rz
 
@@ -369,6 +371,56 @@ class TestProjectAncilla:
     def test_rejects_invalid_ancilla_or_bit(self, ancilla, bit, match):
         with pytest.raises(ValueError, match=match):
             project_ancilla(np.eye(8, dtype=complex), ancilla, bit)
+
+
+class TestVerifyCircuit:
+    @pytest.mark.parametrize("kind", ["crot", "toffoli", "weighted"])
+    def test_compiled_gates_pass_on_the_measures_it_reports(self, kind):
+        if kind == "toffoli":
+            circ, args = build_toffoli_circuit(3), {}
+            block, leakage = project_ancilla(circuit_unitary(circ), 3, 0)
+            ideal = ideal_toffoli(3)
+        else:
+            if kind == "crot":
+                circ, args, ideal = build_crot_circuit(crot_angles(3, 0.3)), {"alpha": 0.3}, ideal_crot(3, 0.3)
+            else:
+                alphas = (0.4, -1.1, 2.0)
+                circ, args, ideal = build_crot_circuit(weighted_angles(3, alphas)), {"alphas": alphas}, ideal_weighted(3, alphas)
+            block, leakage = circuit_unitary(circ), 0.0
+        verdict = verify_circuit(circ, kind, 3, **args)
+        assert verdict.passed and verdict.worst_block < 1e-12
+        assert verdict.worst_block == worst_block(block, ideal)
+        assert verdict.leakage == leakage
+        assert verdict.phase_distance == phase_distance(block, ideal)
+
+    def test_a_miss_above_tolerance_fails(self):
+        circ = build_crot_circuit(crot_angles(3, 0.3))
+        verdict = verify_circuit(circ, "crot", 3, alpha=0.31)
+        assert not verdict.passed and verdict.worst_block == pytest.approx(2 * np.sin(0.0025), rel=1e-9)
+        assert verify_circuit(circ, "crot", 3, alpha=0.31, tolerance=1e-2).passed
+
+    @pytest.mark.parametrize(
+        "kind, n, kwargs, match",
+        [
+            ("crot", 3, {"alpha": 0.3, "tolerance": float("nan")}, "tolerance"),
+            ("crot", 3, {"alpha": 0.3, "tolerance": -1.0}, "tolerance"),
+            ("crot", 3, {"alpha": 0.3, "tolerance": float("inf")}, "tolerance"),
+            ("crot", 4, {"alpha": 0.3}, "circuit has 3 qubits, target expects 4"),
+            ("toffoli", 3, {}, "toffoli target expects n\\+1 qubits and one ancilla"),
+            ("crot", 3, {}, "crot target needs --alpha"),
+            ("weighted", 3, {}, "weighted target needs --alphas"),
+            ("cnot", 3, {}, "unknown target kind"),
+        ],
+        ids=["nan_tolerance", "negative_tolerance", "infinite_tolerance", "qubit_count", "toffoli_count",
+             "no_alpha", "no_alphas", "unknown_kind"],
+    )
+    def test_bad_requests_raise_before_simulating(self, monkeypatch, kind, n, kwargs, match):
+        def refuse(circuit):
+            raise AssertionError("simulated a request it should have refused")
+
+        monkeypatch.setattr(simulate, "circuit_unitary", refuse)
+        with pytest.raises(ValueError, match=match):
+            verify_circuit(build_crot_circuit(crot_angles(3, 0.3)), kind, n, **kwargs)
 
 
 class TestBlockStructure:

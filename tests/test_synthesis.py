@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from _helpers import (
     crot_targets,
+    full_width_angles,
     node_block_miss,
     pauli_components,
     quadruple_matrix,
@@ -296,6 +297,20 @@ def test_extraction_matches_quadruple_on_grid():
         for theta in rng.uniform(0, 2 * np.pi, 16):
             err = np.linalg.norm(evaluate_plan(phis, theta) - quadruple_matrix(*quad, theta), ord=2)
             assert err < 1e-9, (degree, theta, err)
+
+
+def test_live_layer_peel_matches_the_full_width_peel_bit_for_bit():
+    rng = np.random.default_rng(20)
+    cases = [
+        (f"crot {n} {alpha!r}", _crot_quadruple(n, alpha))
+        for n in range(2, 25)
+        for alpha in (0.0, 1e-8, np.pi / 2, np.pi, 2 * np.pi, -0.3)
+    ]
+    for n in range(2, 9):
+        for alphas in (np.zeros(n), np.full(n, 0.7), rng.uniform(-np.pi, np.pi, n)):
+            cases.append((f"weighted {n} {alphas}", _weighted_quadruple(n, alphas)))
+    for name, quad in cases:
+        assert extract_angles(*quad) == full_width_angles(*quad), name
 
 
 def test_norm_2x2_matches_lapack():
