@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .su2 import canonical_angle
+from .subspace import phase_reset_ok
 from .synthesis import CompilationPlan, crot_angles
 
 MS = "MS"
@@ -20,6 +24,7 @@ RY = "RY"
 RZ = "RZ"
 H = "H"
 _ROTATIONS = (RX, RY, RZ)
+_NOT_REAL = (bool, np.bool_, np.complexfloating)  # math.isfinite takes these, but no angle is one
 
 
 class CircuitFormatError(ValueError):
@@ -36,6 +41,16 @@ class QubitIndexError(CircuitFormatError):
 
 class PhaseResetError(ValueError):
     """A caller-built plan would leak control-dependent phases (tau * L not a 2*pi multiple)."""
+
+
+def _index(value, what: str) -> int:
+    """A Python or numpy integer as an int; a bool, float or string raises ValueError."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,11 +71,16 @@ class Gate:
                 raise ValueError("H needs a qubit index and takes no angle")
         else:
             raise UnknownGateError(f"unknown gate kind {self.kind!r}")
+        if self.qubit is not None:
+            object.__setattr__(self, "qubit", _index(self.qubit, "qubit"))
         if self.angle is not None:
-            angle = float(self.angle)
-            if not math.isfinite(angle):
-                raise ValueError(f"{self.kind} angle must be finite, got {angle}")
-            object.__setattr__(self, "angle", angle)
+            try:
+                finite = not isinstance(self.angle, _NOT_REAL) and math.isfinite(self.angle)
+            except (TypeError, OverflowError):  # a string or complex; an int past the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"{self.kind} angle must be a finite real number, got {self.angle!r}")
+            object.__setattr__(self, "angle", float(self.angle))
 
     @classmethod
     def ms(cls, tau: float) -> Gate:
@@ -91,20 +111,23 @@ class Circuit:
     ancilla_qubits: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.num_qubits < 1:
+        num_qubits = _index(self.num_qubits, "num_qubits")
+        if num_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
-        if not 0 <= self.target_qubit < self.num_qubits:
-            raise QubitIndexError(f"target qubit {self.target_qubit} out of range")
-        for q in self.ancilla_qubits:
-            if not 0 <= q < self.num_qubits:
+        target = _index(self.target_qubit, "target_qubit")
+        if not 0 <= target < num_qubits:
+            raise QubitIndexError(f"target qubit {target} out of range")
+        ancillas = frozenset(_index(q, "ancilla qubit") for q in self.ancilla_qubits)
+        for q in ancillas:
+            if not 0 <= q < num_qubits:
                 raise QubitIndexError(f"ancilla qubit {q} out of range")
         for gate in self.gates:
-            if gate.qubit is not None and not 0 <= gate.qubit < self.num_qubits:
-                raise QubitIndexError(
-                    f"{gate.kind} on qubit {gate.qubit} out of range for {self.num_qubits} qubits"
-                )
+            if gate.qubit is not None and not 0 <= gate.qubit < num_qubits:
+                raise QubitIndexError(f"{gate.kind} on qubit {gate.qubit} out of range for {num_qubits} qubits")
+        object.__setattr__(self, "num_qubits", num_qubits)
+        object.__setattr__(self, "target_qubit", target)
         object.__setattr__(self, "gates", tuple(self.gates))
-        object.__setattr__(self, "ancilla_qubits", frozenset(self.ancilla_qubits))
+        object.__setattr__(self, "ancilla_qubits", ancillas)
 
     def ms_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == MS)
@@ -118,7 +141,7 @@ def build_crot_circuit(plan: CompilationPlan, target: int = 0) -> Circuit:
     the target, and Rz(phi_0) closes the train.  A plan whose tau * L is not
     a multiple of 2*pi raises PhaseResetError.
     """
-    if not plan.is_phase_reset_valid():
+    if not phase_reset_ok(plan.num_pulses, plan.tau):
         raise PhaseResetError(
             f"tau * L = {plan.tau * plan.num_pulses:.6f} is not a multiple of 2*pi; "
             "the circuit would leak control-dependent phases"
@@ -184,25 +207,13 @@ def serialize(circuit: Circuit) -> bytes:
     return json.dumps(doc, indent=1).encode()
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer as is; a bool, float or string is not one."""
-    if type(value) is not int:
-        raise CircuitFormatError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """A JSON number (integer or float) as a float; a bool or string is not one."""
-    if type(value) not in (int, float):
-        raise CircuitFormatError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def deserialize(data: bytes | str) -> Circuit:
     """Parse the JSON encoding; malformed input raises CircuitFormatError.
 
-    Qubit indices and counts must be JSON integers, angles and tau JSON
-    numbers, and version the integer 1: nothing is coerced.
+    Only the format is checked here: an object with ``version`` the integer
+    1, ``gates`` and ``ancilla_qubits`` lists, and a ``type`` in each gate.
+    The fields go to ``Gate`` and ``Circuit`` as read, so a file is held to
+    the same rules as a library caller.
     """
     try:
         doc = json.loads(data)
@@ -214,36 +225,25 @@ def deserialize(data: bytes | str) -> Circuit:
     if type(version) is not int or version != 1:
         raise CircuitFormatError(f"unsupported format version {version!r}")
     try:
-        num_qubits = _integer(doc["num_qubits"], "num_qubits")
-        raw_gates = doc["gates"]
+        num_qubits, raw_gates = doc["num_qubits"], doc["gates"]
     except KeyError as exc:
         raise CircuitFormatError(f"missing field: {exc}") from exc
-    target = _integer(doc.get("target_qubit", 0), "target_qubit")
     raw_ancillas = doc.get("ancilla_qubits", [])
-    if not isinstance(raw_ancillas, list):
-        raise CircuitFormatError(f"ancilla_qubits must be a list, got {type(raw_ancillas).__name__}")
-    ancillas = frozenset(_integer(q, "ancilla qubit") for q in raw_ancillas)
-    if not isinstance(raw_gates, list):
-        raise CircuitFormatError(f"gates must be a list, got {type(raw_gates).__name__}")
-    gates = []
-    for entry in raw_gates:
-        if not isinstance(entry, dict) or "type" not in entry:
-            raise CircuitFormatError(f"gate entry {entry!r} lacks a type")
-        kind = entry["type"]
-        try:
-            if kind == MS:
-                gates.append(Gate.ms(_number(entry["tau"], "tau")))
-            elif kind == H:
-                gates.append(Gate.h(_integer(entry["qubit"], "qubit")))
-            elif kind in _ROTATIONS:
-                gates.append(Gate(kind, _integer(entry["qubit"], "qubit"), _number(entry["angle"], "angle")))
-            else:
-                raise UnknownGateError(f"unknown gate type {kind!r}")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, CircuitFormatError):
-                raise
-            raise CircuitFormatError(f"malformed {kind!r} gate: {exc}") from exc
-    return Circuit(num_qubits, tuple(gates), target, ancillas)
+    for name, value in (("gates", raw_gates), ("ancilla_qubits", raw_ancillas)):
+        if not isinstance(value, list):
+            raise CircuitFormatError(f"{name} must be a list, got {type(value).__name__}")
+    try:
+        gates = []
+        for entry in raw_gates:
+            if not isinstance(entry, dict) or "type" not in entry:
+                raise CircuitFormatError(f"gate entry {entry!r} lacks a type")
+            kind = entry["type"]
+            gates.append(Gate(kind, entry.get("qubit"), entry.get("tau" if kind == MS else "angle")))
+        return Circuit(num_qubits, tuple(gates), doc.get("target_qubit", 0), raw_ancillas)
+    except CircuitFormatError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CircuitFormatError(str(exc)) from exc
 
 
 def to_text(circuit: Circuit) -> str:

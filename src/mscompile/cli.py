@@ -125,15 +125,13 @@ def cmd_crot_angles(args) -> int:
 def cmd_compile(args) -> int:
     if args.kind == "crot":
         if args.alpha is None:
-            print("error: crot needs --alpha", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("crot needs --alpha")
         circ = build_crot_circuit(crot_angles(args.n, args.alpha))
     elif args.kind == "toffoli":
         circ = build_toffoli_circuit(args.n)
     else:
         if args.alphas is None:
-            print("error: weighted needs --alphas", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("weighted needs --alphas")
         circ = build_crot_circuit(weighted_angles(args.n, args.alphas))
     payload = serialize(circ) if args.format == "json" else to_text(circ).encode()
     with open(args.out, "wb") as fh:

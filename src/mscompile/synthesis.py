@@ -22,7 +22,7 @@ import numpy as np
 from .series import EVEN, ODD, SynthesisError, TrigSeries, to_laurent
 from .fitting import fit_A, fit_weight_dependent, weighted_params
 from .su2 import canonical_angle, norm_2x2, rx, rz
-from .subspace import compute_thetas, default_params, phase_reset_ok
+from .subspace import compute_thetas, default_params
 
 log = logging.getLogger(__name__)
 
@@ -65,9 +65,6 @@ class CompilationPlan:
     def num_pulses(self) -> int:
         """L: the number of global pulses in the train."""
         return len(self.phis) - 1
-
-    def is_phase_reset_valid(self) -> bool:
-        return phase_reset_ok(self.num_pulses, self.tau)
 
 
 def evaluate_plan(phis, theta: float) -> np.ndarray:

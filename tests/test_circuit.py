@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from _helpers import plan_from_merged
+from hypothesis import given, settings, strategies as st
 
 from mscompile import (
     Circuit,
@@ -168,6 +169,9 @@ class TestSerialization:
             '{"version": 1, "num_qubits": 2, "ancilla_qubits": [true], "gates": []}',
             '{"version": 1.0, "num_qubits": 2, "gates": []}',
             '{"version": true, "num_qubits": 2, "gates": []}',
+            '{"version": 1, "num_qubits": 0, "gates": []}',
+            '{"version": 1, "num_qubits": 2, "gates": [{"type": "H", "qubit": 0, "angle": 0.5}]}',
+            '{"version": 1, "num_qubits": 2, "gates": [{"type": "MS", "qubit": 0, "tau": 0.5}]}',
         ],
         ids=[
             "gates_int",
@@ -186,6 +190,9 @@ class TestSerialization:
             "ancilla_bool",
             "version_float",
             "version_bool",
+            "num_qubits_zero",
+            "h_with_angle",
+            "ms_with_qubit",
         ],
     )
     def test_malformed_fields(self, text):
@@ -217,3 +224,69 @@ def test_gate_validation():
         Gate("CNOT", qubit=0, angle=0.1)
     with pytest.raises(QubitIndexError):
         Circuit(2, (Gate.h(3),))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Gate.h(True),
+        lambda: Gate.rx(1.5, 0.3),
+        lambda: Gate.rz("0", 0.3),
+        lambda: Gate.rx(0, True),
+        lambda: Gate.ms(np.True_),
+        lambda: Gate.ry(0, "0.3"),
+        lambda: Gate.rz(0, 1j),
+        lambda: Gate.rz(0, 10**400),
+        lambda: Circuit(2.0, ()),
+        lambda: Circuit(True, ()),
+        lambda: Circuit(0, ()),
+        lambda: Circuit(2, (), target_qubit=0.0),
+        lambda: Circuit(2, (), ancilla_qubits=frozenset({True})),
+    ],
+    ids=[
+        "qubit_bool",
+        "qubit_float",
+        "qubit_string",
+        "angle_bool",
+        "tau_numpy_bool",
+        "angle_string",
+        "angle_complex",
+        "angle_overflow",
+        "num_qubits_float",
+        "num_qubits_bool",
+        "num_qubits_zero",
+        "target_float",
+        "ancilla_bool",
+    ],
+)
+def test_library_fields_follow_the_file_rules(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+_INTS = st.sampled_from([int, np.int64, np.int32, np.uint8])
+_REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(lambda x: st.sampled_from([x, np.float64(x)])),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.integers(-(2**62), 2**62).flatmap(lambda k: st.sampled_from([k, np.int64(k)])),
+)
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(1, 6))
+    qubit = st.integers(0, n - 1).flatmap(lambda q: _INTS.map(lambda t: t(q)))
+    gate = st.one_of(
+        _REALS.map(Gate.ms),
+        qubit.map(Gate.h),
+        st.builds(Gate, st.sampled_from(["RX", "RY", "RZ"]), qubit, _REALS),
+    )
+    ancillas = draw(st.frozensets(qubit, max_size=2))
+    return Circuit(draw(_INTS)(n), tuple(draw(st.lists(gate, max_size=8))), draw(qubit), ancillas)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(circ=_circuits())
+def test_any_circuit_round_trips(circ):
+    """Python or numpy ints and floats are stored as int and float, so serialize writes them all."""
+    assert deserialize(serialize(circ)) == circ

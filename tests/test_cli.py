@@ -350,6 +350,14 @@ class TestUsageErrors:
     def test_weighted_needs_alphas(self, tmp_path):
         assert main(["compile", "--kind", "weighted", "--n", "3", "--out", str(tmp_path / "w.json")]) == 64
 
+    @pytest.mark.parametrize("kind,flag", [("crot", "--alpha"), ("weighted", "--alphas")])
+    def test_compile_needs_its_angles(self, tmp_path, capsys, kind, flag):
+        out = tmp_path / "c.json"
+        assert main(["compile", "--kind", kind, "--n", "3", "--out", str(out)]) == 64
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {kind} needs {flag}\n" and captured.out == ""
+        assert not out.exists()
+
     def test_closed_stdout_exits_quietly(self):
         # the pipe's reader is gone before the child writes its first line
         src = str(Path(mscompile.__file__).parents[1])
