@@ -42,7 +42,6 @@ from .simulate import (
     phase_distance,
     project_ancilla,
     verify_circuit,
-    worst_block,
 )
 
 __version__ = "0.1.0"
@@ -87,5 +86,4 @@ __all__ = [
     "phase_distance",
     "project_ancilla",
     "verify_circuit",
-    "worst_block",
 ]

@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .su2 import canonical_angle
-from .subspace import phase_reset_ok
+from .subspace import _index, _real, phase_reset_ok
 from .synthesis import CompilationPlan, crot_angles
 
 MS = "MS"
@@ -24,7 +21,6 @@ RY = "RY"
 RZ = "RZ"
 H = "H"
 _ROTATIONS = (RX, RY, RZ)
-_NOT_REAL = (bool, np.bool_, np.complexfloating)  # math.isfinite takes these, but no angle is one
 
 
 class CircuitFormatError(ValueError):
@@ -41,16 +37,6 @@ class QubitIndexError(CircuitFormatError):
 
 class PhaseResetError(ValueError):
     """A caller-built plan would leak control-dependent phases (tau * L not a 2*pi multiple)."""
-
-
-def _index(value, what: str) -> int:
-    """A Python or numpy integer as an int; a bool, float or string raises ValueError."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,13 +60,7 @@ class Gate:
         if self.qubit is not None:
             object.__setattr__(self, "qubit", _index(self.qubit, "qubit"))
         if self.angle is not None:
-            try:
-                finite = not isinstance(self.angle, _NOT_REAL) and math.isfinite(self.angle)
-            except (TypeError, OverflowError):  # a string or complex; an int past the float range
-                finite = False
-            if not finite:
-                raise ValueError(f"{self.kind} angle must be a finite real number, got {self.angle!r}")
-            object.__setattr__(self, "angle", float(self.angle))
+            object.__setattr__(self, "angle", _real(self.angle, f"{self.kind} angle", finite=True))
 
     @classmethod
     def ms(cls, tau: float) -> Gate:
@@ -180,6 +160,7 @@ def build_toffoli_circuit(n: int) -> Circuit:
     Hadamards turns that controlled phase into a bitflip.  Costs 2(n+1)
     global pulses.
     """
+    n = _index(n, "n")
     if n < 2:
         raise ValueError(f"Toffoli needs at least 2 qubits, got {n}")
     inner = build_crot_circuit(crot_angles(n + 1, 2.0 * math.pi), target=n).gates

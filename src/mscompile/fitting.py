@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .series import EVEN, ODD, SynthesisError, TrigSeries
-from .subspace import compute_thetas, default_params
+from .subspace import _check_size, compute_thetas, default_params
 
 
 class FittingError(SynthesisError):
@@ -77,8 +77,7 @@ def weighted_params(n: int) -> tuple[float, float]:
     at mirror points for q + q' = N - 2, and an even A / odd B pair cannot
     take independent values at mirror angles.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = _check_size(n)
     return np.pi / n, -np.pi / n - np.pi / (2.0 * n)
 
 

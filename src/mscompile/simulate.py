@@ -1,5 +1,5 @@
-"""Exact unitary simulation, ideal reference unitaries, block diagnostics and
-the verify verdict (``verify_circuit``).
+"""Exact unitary simulation, ideal reference unitaries, diagnostics and the
+verify verdict (``verify_circuit``).
 
 Qubit 0 is the least significant bit of the basis-state index, so with the
 default target qubit 0 the index reads (controls << 1) | target_bit.
@@ -20,11 +20,13 @@ fused operations in time order: 2x2s on one qubit each, and pulses.
 Pulses are diagonal, so only the qubits that some fused 2x2 acts on (the k
 active qubits) ever mix basis states: the unitary is block diagonal, one
 2^k x 2^k block per pattern of the N - k inactive bits.  The executor holds
-only those blocks, applies each 2x2 as one matmul across all of them and
-each pulse as a phase per block row, and writes the dense matrix once at
-the end.  A pulse train leaves only its target active (k = 1; a Toffoli
-train, qubit 0 and the ancilla), so an operation costs O(2^N) instead of
-O(4^N); with every qubit active this is the plain dense simulation.
+only those blocks (the block store), applies each 2x2 as one matmul
+across all of them and each pulse as a phase per block row.
+``circuit_unitary`` writes the dense matrix once at the end;
+``verify_circuit`` judges the store itself.  A pulse train leaves only its
+target active (k = 1; a Toffoli train, qubit 0 and the ancilla), so an
+operation costs O(2^N) instead of O(4^N); with every qubit active this is
+the plain dense simulation.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import H, MS, RX, RY, RZ, Circuit, Gate
+from .circuit import H, MS, RX, RY, RZ, Circuit
 from .su2 import HADAMARD, norm_2x2, rx, ry, rz
 
-MAX_UNITARY_QUBITS = 13  # a 14-qubit unitary is 4 GiB, and verify holds two
+MAX_UNITARY_QUBITS = 13  # a 14-qubit unitary is 4 GiB; verify keeps the same domain
+_ROTATIONS = {RX: rx, RY: ry, RZ: rz}
 
 
 def _deposit(values: np.ndarray, qubits) -> np.ndarray:
@@ -83,21 +86,15 @@ def _store_layout(n: int, active: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
     return rows, cols, spin_sq
 
 
+def _split_bit(store: np.ndarray, bit: int) -> np.ndarray:
+    """store with its row and column bit ``bit`` split out: (hi, 2, lo, 2^(N-k), hi, 2, lo)."""
+    hi, lo = len(store) >> (bit + 1), 1 << bit
+    return store.reshape(hi, 2, lo, -1, hi, 2, lo)
+
+
 def _apply_single(store: np.ndarray, u2: np.ndarray, bit: int) -> np.ndarray:
     """Apply a 2x2 to bit ``bit`` of the leading (row) axis of store, in one pass."""
     return np.matmul(u2, store.reshape(len(store) >> (bit + 1), 2, -1)).reshape(store.shape)
-
-
-def _gate_matrix(gate: Gate) -> np.ndarray:
-    if gate.kind == RX:
-        return rx(gate.angle)
-    if gate.kind == RY:
-        return ry(gate.angle)
-    if gate.kind == RZ:
-        return rz(gate.angle)
-    if gate.kind == H:
-        return HADAMARD
-    raise ValueError(f"no matrix for gate kind {gate.kind!r}")
 
 
 def _flush(ops: list, frame: list[bool], pending: list, x_frame: bool) -> None:
@@ -139,7 +136,7 @@ def _fused_ops(circuit: Circuit) -> list:
             frame[gate.qubit] = not frame[gate.qubit]
         else:
             q = gate.qubit
-            u2 = _gate_matrix(gate)
+            u2 = _ROTATIONS[gate.kind](gate.angle)
             if frame[q]:
                 u2 = HADAMARD @ u2 @ HADAMARD
             pending[q] = u2 if pending[q] is None else u2 @ pending[q]
@@ -147,25 +144,19 @@ def _fused_ops(circuit: Circuit) -> list:
     return ops
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full unitary; column j is the circuit applied to basis state |j>.
-
-    The fused operations of the frame pass are applied to a block store.
-    With A the qubits some fused 2x2 acts on (k = |A|), U[i, j] is zero
-    unless i and j agree on every bit outside A, so U is held as an array
-    of shape (2^k, 2^(N-k), 2^k): entry [a, c, b] is U[i, j] for the row i
-    with active bits a and the column j with active bits b, both with
-    inactive bits c (see ``_blocks``).  A 2x2 on qubit A[p] is one
-    matmul on bit p of the leading axis; a pulse multiplies each row by its
-    phase, a function of the Hamming weight of the row's basis index.  The
-    store is scattered into the dense 2^N x 2^N result once, at the end.
+def _block_store(circuit: Circuit, keep=()) -> tuple[np.ndarray, list[int]]:
+    """The circuit's block store (``_store_layout``), with the qubits in keep
+    active too, and the active qubits, ascending.  The fused operations of
+    the frame pass run on it: a 2x2 on active[p] is one matmul on bit p of
+    the leading axis, and a pulse a phase per row, from its Hamming weight.
+    More than MAX_UNITARY_QUBITS qubits raise ValueError.
     """
     n = circuit.num_qubits
     if n > MAX_UNITARY_QUBITS:
         raise ValueError(f"refusing to build a 2^{n} x 2^{n} unitary (limit {MAX_UNITARY_QUBITS})")
     ops = _fused_ops(circuit)
-    active = sorted({q for q, _ in ops if q is not None})
-    rows, cols, spin_sq = _store_layout(n, tuple(active))
+    active = sorted({q for q, _ in ops if q is not None}.union(keep))
+    _, cols, spin_sq = _store_layout(n, tuple(active))
     store = np.eye(2 ** len(active), dtype=complex)[:, None, :].repeat(cols.shape[1], axis=1)
     phases: dict[float, np.ndarray] = {}
     for q, op in ops:
@@ -175,47 +166,55 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
             store *= phases[op]
         else:
             store = _apply_single(store, op, active.index(q))
-    mat = np.zeros((2**n, 2**n), dtype=complex)
+    return store, active
+
+
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Full unitary, column j the circuit applied to |j>: ``_block_store`` scattered into 2^N x 2^N."""
+    store, active = _block_store(circuit)
+    rows, cols, _ = _store_layout(circuit.num_qubits, tuple(active))
+    mat = np.zeros((2**circuit.num_qubits,) * 2, dtype=complex)
     mat[rows, cols] = store
     return mat
 
 
-def _block_diagonal(n: int, blocks: np.ndarray, target: int) -> np.ndarray:
-    """Dense unitary with the 2x2 blocks[c] on the target at control pattern c.
+def _ideal_blocks(kind: str, n: int, alpha=None, alphas=None) -> np.ndarray:
+    """The ideal 2x2 on the target at each control weight 0..n-1, shape
+    (n, 2, 2): crot's Rz(alpha) and toffoli's bitflip at weight n - 1 and
+    the identity below it, weighted's Rx(alphas[w]) at weight w."""
+    if kind == "weighted":
+        alphas = [float(a) for a in alphas]
+        if len(alphas) != n:
+            raise ValueError(f"need {n} angles, got {len(alphas)}")
+        return np.array([rx(a) for a in alphas])
+    if kind == "toffoli" and n < 2:
+        raise ValueError(f"Toffoli needs at least 2 qubits, got {n}")
+    blocks = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
+    blocks[-1] = rz(alpha) if kind == "crot" else [[0.0, 1.0], [1.0, 0.0]]
+    return blocks
 
-    Patterns are numbered as in ``_blocks``; all controls |1> is the last.
-    """
+
+def _dense_ideal(kind: str, n: int, target: int = 0, **angles) -> np.ndarray:
+    """``_ideal_blocks`` at each control pattern of ``_blocks``, as a dense unitary."""
+    blocks = _ideal_blocks(kind, n, **angles)[np.bitwise_count(np.arange(2 ** (n - 1)))]
     u = np.zeros((2**n, 2**n), dtype=complex)
     u[_blocks(n, (target,))] = blocks
     return u
 
 
-def _controlled(n: int, u2: np.ndarray, target: int) -> np.ndarray:
-    """Identity blocks, with u2 on the target when all controls are |1>."""
-    blocks = np.tile(np.eye(2, dtype=complex), (2 ** (n - 1), 1, 1))
-    blocks[-1] = u2
-    return _block_diagonal(n, blocks, target)
-
-
 def ideal_crot(n: int, alpha: float, target: int = 0) -> np.ndarray:
     """Identity except Rz(alpha) on the target when all controls are |1>."""
-    return _controlled(n, rz(alpha), target)
+    return _dense_ideal("crot", n, target, alpha=alpha)
 
 
 def ideal_toffoli(n: int) -> np.ndarray:
     """Bitflip on qubit 0 when qubits 1..n-1 are all |1>."""
-    if n < 2:
-        raise ValueError(f"Toffoli needs at least 2 qubits, got {n}")
-    return _controlled(n, np.array([[0.0, 1.0], [1.0, 0.0]]), 0)
+    return _dense_ideal("toffoli", n)
 
 
 def ideal_weighted(n: int, alphas, target: int = 0) -> np.ndarray:
     """Block-diagonal Rx(alphas[q]) on the target at control weight q."""
-    alphas = [float(a) for a in alphas]
-    if len(alphas) != n:
-        raise ValueError(f"need {n} angles, got {len(alphas)}")
-    weights = np.bitwise_count(np.arange(2 ** (n - 1)))
-    return _block_diagonal(n, np.array([rx(a) for a in alphas])[weights], target)
+    return _dense_ideal("weighted", n, target, alphas=alphas)
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -227,38 +226,6 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
         raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
     dim = u.shape[0]
     return float(np.maximum(0.0, 1.0 - abs(np.vdot(u, v)) / dim))
-
-
-def worst_block(u: np.ndarray, v: np.ndarray, target: int = 0) -> float:
-    """max over control patterns c of ||(U - e^(i*phi) V)[:, c]||_2, phi = arg tr(V^dag U).
-
-    (...)[:, c] is control pattern c's two columns (target bit 0, then 1),
-    taken over every row.  For a block-diagonal U this is the miss of c's
-    2x2 target block; amplitude that leaks to another pattern counts at
-    first order.  Every pattern counts in full, so a miss in the one block a
-    controlled gate acts on is not diluted by 2^(N-1), and for unitary V
-    |tr(V^dag U)| >= dim * (1 - worst), so phase_distance <= worst.  NaN
-    when either matrix holds a NaN, so it never meets a tolerance.
-
-    Each pattern's 2x2 Gram matrix is summed over row chunks.  Within a
-    chunk, a pattern whose columns vanish in both U and V adds nothing, so
-    only the others are gathered.
-    """
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
-    dim = u.shape[0]
-    hi, lo = dim // 2 ** (target + 1), 2**target
-    phase = np.exp(1j * np.angle(np.vdot(v, u)))
-    gram = np.zeros((hi, lo, 2, 2), dtype=complex)
-    for start in range(0, dim, 32):
-        # axes (row, high bits, target bit, low bits); with 32 rows a
-        # block-diagonal chunk gathers about 32^2 entries
-        uc = u[start : start + 32].reshape(-1, hi, 2, lo)
-        vc = v[start : start + 32].reshape(-1, hi, 2, lo)
-        h, l = np.nonzero((uc.any(axis=0) | vc.any(axis=0)).any(axis=1))
-        d = uc[:, h, :, l] - phase * vc[:, h, :, l]  # (pattern, row, target bit)
-        gram[h, l] += d.conj().swapaxes(1, 2) @ d
-    return float(np.sqrt(np.max(norm_2x2(gram))))
 
 
 def project_ancilla(u: np.ndarray, ancilla: int, bit: int) -> tuple[np.ndarray, float]:
@@ -301,11 +268,19 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
 
     kind is "crot" (needs alpha), "toffoli" (n logical qubits plus one
     ancilla, projected onto the ancilla entering and leaving |0>) or
-    "weighted" (needs alphas).  The circuit passes iff ``worst_block`` and
-    the ancilla leakage are both at most tolerance; a NaN passes nothing.
-    ``phase_distance`` is reported, not judged.  A qubit count that does not
-    fit kind, a missing angle, or a tolerance that is negative or not finite
-    raises ValueError before anything is simulated.
+    "weighted" (needs alphas).  With V the ideal, one 2x2 on the target per
+    control pattern, ``worst_block`` is the largest operator norm of a
+    pattern's two columns of U - e^(i*phi) V over every row, phi = arg
+    tr(V^dag U): a miss in its own block and amplitude leaked to another
+    pattern count at first order, and for unitary V it bounds
+    ``phase_distance``, 1 - |tr(V^dag U)| / 2^n, which is reported, not
+    judged.  They and the ancilla leakage are read from ``_block_store``
+    with the target (and ancilla) kept active; no dense U or V is built.
+    The circuit passes iff ``worst_block`` and the leakage are both at most
+    tolerance; a NaN passes nothing.  A qubit count that does not fit kind,
+    a missing angle, or a tolerance that is negative or not finite raises
+    ValueError before anything is simulated, as do more than
+    MAX_UNITARY_QUBITS qubits.
     """
     if not 0.0 <= tolerance < np.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
@@ -322,15 +297,30 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
     else:
         raise ValueError(f"unknown target kind {kind!r}")
 
-    u = circuit_unitary(circuit)
-    leakage, target = 0.0, circuit.target_qubit
-    if kind == "toffoli":
-        u, leakage = project_ancilla(u, next(iter(circuit.ancilla_qubits)), 0)
-        ideal, target = ideal_toffoli(n), 0
-    elif kind == "crot":
-        ideal = ideal_crot(n, alpha, target=target)
-    else:
-        ideal = ideal_weighted(n, alphas, target=target)
-    block_miss = worst_block(u, ideal, target)
+    ancilla = next(iter(circuit.ancilla_qubits)) if kind == "toffoli" else None
+    # the target of the Toffoli projection is its qubit 0: the lowest qubit but the ancilla
+    target = circuit.target_qubit if ancilla is None else int(ancilla == 0)
+    store, active = _block_store(circuit, keep={target} if ancilla is None else {target, ancilla})
+    leakage = 0.0
+    if ancilla is not None:
+        split = _split_bit(store, active.index(ancilla))
+        leak = split[:, 1, :, :, :, 0, :]  # enters with the ancilla |0>, leaves with it |1>
+        leakage = float(np.sqrt(np.max(np.sum(leak.real**2 + leak.imag**2, axis=(0, 1)))))
+        active.remove(ancilla)
+        store = split[:, 0, :, :, :, 0, :].reshape(2 ** len(active), -1, 2 ** len(active))
+    # control pattern (c, h, l): inactive bits c, active bits above (h) and below (l) the target
+    split = _split_bit(store, active.index(target))
+    hi, _, lo, inactive = split.shape[:4]
+    weights = (np.bitwise_count(np.arange(inactive))[:, None, None]
+               + np.bitwise_count(np.arange(hi))[:, None] + np.bitwise_count(np.arange(lo)))
+    ideal = _ideal_blocks(kind, n, alpha, alphas)[weights]
+    own = np.einsum("hilchjl->chlij", split)  # each pattern's own target block, a view
+    trace = np.vdot(ideal, own)  # tr(V^dag U)
+    own -= np.exp(1j * np.angle(trace)) * ideal
+    # each pattern's two columns over every row: its own block, less the
+    # ideal, and the amplitude leaked to the other patterns
+    columns = np.moveaxis(split.reshape(len(store), *split.shape[3:]), 3, -1)
+    gram = sum(row.conj()[..., :, None] * row[..., None, :] for row in columns)
+    block_miss = float(np.sqrt(np.max(norm_2x2(gram))))
     passed = block_miss <= tolerance and leakage <= tolerance
-    return Verdict(block_miss, leakage, phase_distance(u, ideal), passed)
+    return Verdict(block_miss, leakage, float(np.maximum(0.0, 1.0 - abs(trace) / 2**n)), passed)

@@ -14,14 +14,42 @@ those reset exactly when tau * L is a multiple of 2*pi.
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
 PHASE_RESET_TOL = 1e-12
+_NOT_REAL = (bool, np.bool_, np.complexfloating)  # math.isfinite takes these, but no angle is one
 
 
-def _check_size(n: int) -> None:
+def _index(value, what: str) -> int:
+    """A Python or numpy integer as an int; a bool, float or string raises ValueError."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _real(value, what: str, finite: bool = False) -> float:
+    """A real number as a float; a bool, string or complex raises ValueError, as does NaN or inf if finite."""
+    try:
+        real = not isinstance(value, _NOT_REAL) and (math.isfinite(value) or not finite)
+    except (TypeError, OverflowError):  # a string or complex; an int past the float range
+        real = False
+    if not real:
+        raise ValueError(f"{what} must be a {'finite ' if finite else ''}real number, got {value!r}")
+    return float(value)
+
+
+def _check_size(n) -> int:
+    """A qubit count as an int: an integer of at least 2, else ValueError."""
+    n = _index(n, "n")
     if n < 2:
-        raise ValueError(f"need at least 2 qubits (one control), got n={n}")
+        raise ValueError(f"need n >= 2 qubits (one control), got n={n}")
+    return n
 
 
 def default_params(n: int) -> tuple[float, float]:
@@ -30,13 +58,13 @@ def default_params(n: int) -> tuple[float, float]:
     They spread the angles theta_q uniformly over the circle and place
     theta_{N-1} at pi.
     """
-    _check_size(n)
+    n = _check_size(n)
     return np.pi / n, -np.pi / n
 
 
 def compute_thetas(n: int, tau: float, h: float) -> list[float]:
     """Effective rotation angles theta_q for q = 0..N-1."""
-    _check_size(n)
+    n = _check_size(n)
     return [(n - 1 - 2 * q) * tau + h for q in range(n)]
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .series import EVEN, ODD, SynthesisError, TrigSeries, to_laurent
 from .fitting import fit_A, fit_weight_dependent, weighted_params
 from .su2 import canonical_angle, norm_2x2, rx, rz
-from .subspace import compute_thetas, default_params
+from .subspace import _check_size, _real, compute_thetas, default_params
 
 log = logging.getLogger(__name__)
 
@@ -52,8 +52,7 @@ class CompilationPlan:
     phis: tuple[float, ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
+        object.__setattr__(self, "n", _check_size(self.n))
         phis = tuple(float(p) for p in self.phis)
         if not phis:
             raise ValueError("phis must contain at least phi_0")
@@ -346,9 +345,11 @@ def crot_angles(n: int, alpha: float) -> CompilationPlan:
     controls are |1>, using 2N global pulses: a quadruple of degree N - 1
     (2N - 2 pulses) plus one identity pair from ``pad_for_phase_reset``.
     alpha is used as given; every stage reads it through 4*pi-periodic
-    functions.  N above CROT_N_MAX raises SynthesisError."""
+    functions.  N above CROT_N_MAX raises SynthesisError; an n that is not
+    an integer of at least 2, or an alpha that is not a real number (a
+    bool, string or complex), raises ValueError."""
     tau, h = default_params(n)
-    plan = CompilationPlan(n, tau, h, extract_angles(*_crot_quadruple(n, alpha)))
+    plan = CompilationPlan(n, tau, h, extract_angles(*_crot_quadruple(n, _real(alpha, "alpha"))))
     return pad_for_phase_reset(plan)
 
 
@@ -356,7 +357,8 @@ def weighted_angles(n: int, alphas) -> CompilationPlan:
     """Angle sequence applying Rx(alphas[q]) at control weight q, using 4N
     global pulses: a quadruple of degree 2N - 1 (4N - 2 pulses) plus one
     identity pair from ``pad_for_phase_reset``.  N above WEIGHTED_N_MAX
-    raises SynthesisError."""
+    raises SynthesisError; n and each angle follow ``crot_angles``'s rules."""
+    alphas = [_real(a, f"alphas[{q}]") for q, a in enumerate(alphas)]
     phis = extract_angles(*_weighted_quadruple(n, alphas))
     plan = CompilationPlan(n, *weighted_params(n), phis)
     return pad_for_phase_reset(plan)

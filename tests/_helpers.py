@@ -187,8 +187,8 @@ def off_block_max(u: np.ndarray, target: int = 0) -> float:
 
 
 def column_pair_miss(u: np.ndarray, v: np.ndarray, target: int = 0) -> float:
-    """LAPACK reference for worst_block: the largest 2-norm of a pattern's
-    two columns of U - e^(i*phi) V, phi = arg tr(V^dag U)."""
+    """LAPACK reference for the verdict's worst_block: the largest 2-norm of
+    a pattern's two columns of U - e^(i*phi) V, phi = arg tr(V^dag U)."""
     d = u - np.exp(1j * np.angle(np.trace(v.conj().T @ u))) * v
     return max(np.linalg.norm(d[:, cols], 2) for cols in pattern_indices(u.shape[0].bit_length() - 1, target))
 

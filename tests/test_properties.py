@@ -4,18 +4,20 @@ extraction check half its grid."""
 
 import numpy as np
 import pytest
-from _helpers import crot_targets, node_block_miss, pattern_indices, quadruple_matrix, weighted_targets
+from _helpers import crot_targets, node_block_miss, quadruple_matrix, weighted_targets
 from hypothesis import given, settings, strategies as st
 
 from mscompile import (
+    Circuit,
     ExtractionError,
+    Gate,
     TrigSeries,
+    build_crot_circuit,
     crot_angles,
     evaluate_plan,
     extract_angles,
-    phase_distance,
+    verify_circuit,
     weighted_angles,
-    worst_block,
 )
 from mscompile import synthesis
 from mscompile.su2 import norm_2x2
@@ -129,25 +131,18 @@ def test_quadruple_off_normalization_is_an_extraction_error(which):
         extract_angles(*quad)
 
 
-def _random_unitary(rng, dim: int, scale: float) -> np.ndarray:
-    """Q of I + scale * G (G complex Gaussian), its column phases fixed so
-    that a small scale gives a unitary near the identity."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(np.eye(dim) + scale * g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-9.0, 1.0))
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-9.0, 1.0))
 def test_worst_block_bounds_phase_distance(n, seed, log_scale):
     """For unitary V, |tr(V^dag U)| >= dim * (1 - worst_block): the distance
-    test is implied by the block test.  V is block diagonal over control
-    patterns with random U(2) blocks; U is V behind a unitary near the
-    identity, and a global phase."""
+    test is implied by the block test.  V is a weighted gate with drawn
+    angles on a drawn target, so its blocks differ by control weight; U is
+    its compiled train followed by rotations and a pulse of angles about
+    10^log_scale."""
     rng = np.random.default_rng(seed)
-    target = int(rng.integers(n))
-    idx = pattern_indices(n, target)
-    v = np.zeros((2**n, 2**n), dtype=complex)
-    v[idx[:, :, None], idx[:, None, :]] = [_random_unitary(rng, 2, 10.0) for _ in idx]
-    u = np.exp(2j * np.pi * rng.random()) * _random_unitary(rng, 2**n, 10.0**log_scale) @ v
-    assert phase_distance(u, v) <= worst_block(u, v, target) + 1e-15
+    alphas, target = tuple(rng.uniform(-np.pi, np.pi, n)), int(rng.integers(n))
+    kicks = [Gate(str(rng.choice(["RX", "RY", "RZ"])), int(rng.integers(n)), 10.0**log_scale * rng.normal()) for _ in range(3)]
+    train = build_crot_circuit(weighted_angles(n, alphas), target).gates
+    circ = Circuit(n, train + (*kicks, Gate.ms(10.0**log_scale * rng.normal())), target)
+    verdict = verify_circuit(circ, "weighted", n, alphas=alphas)
+    assert verdict.phase_distance <= verdict.worst_block + 1e-15

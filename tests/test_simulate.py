@@ -18,7 +18,6 @@ from mscompile import (
     project_ancilla,
     verify_circuit,
     weighted_angles,
-    worst_block,
 )
 from mscompile import simulate
 from mscompile.simulate import _fused_ops
@@ -275,7 +274,6 @@ class TestPhaseDistance:
         v[2, 2] = np.nan
         assert np.isnan(phase_distance(u, v))
         assert not phase_distance(u, v) <= 1e-6
-        assert np.isnan(worst_block(u, v))
 
     def test_equal(self):
         u = circuit_unitary(Circuit(2, (Gate.h(0), Gate.ms(0.3))))
@@ -284,36 +282,24 @@ class TestPhaseDistance:
     def test_global_phase_invisible(self):
         eye = np.eye(4, dtype=complex)
         assert phase_distance(eye, np.exp(0.77j) * eye) == pytest.approx(0.0, abs=1e-15)
-        assert worst_block(eye, np.exp(0.77j) * eye) == pytest.approx(0.0, abs=1e-15)
 
     def test_worst_block_sees_the_controlled_block(self):
-        u, v = ideal_crot(6, 1.1, target=2), np.exp(0.4j) * ideal_crot(6, 1.15, target=2)
+        circ = build_crot_circuit(crot_angles(6, 1.1), target=2)
+        verdict = verify_circuit(circ, "crot", 6, alpha=1.15)
+        u, v = circuit_unitary(circ), ideal_crot(6, 1.15, target=2)
         phase = np.vdot(v, u) / abs(np.vdot(v, u))
         want = max(np.linalg.norm(bu - phase * bv, 2) for bu, bv in zip(target_blocks(u, 2), target_blocks(v, 2)))
-        assert worst_block(u, v, target=2) == pytest.approx(want, rel=1e-12)
+        assert verdict.worst_block == pytest.approx(want, rel=1e-12)
         # the trace weighs the one differing block by 2^-5
-        assert phase_distance(u, v) < 1e-4 < 1e-2 < want
-
-    @pytest.mark.parametrize("n, zeros", [(1, 0.0), (2, 0.0), (3, 0.5), (5, 0.0), (7, 0.0), (7, 0.97)])
-    def test_worst_block_matches_lapack_on_unstructured_pairs(self, n, zeros):
-        # no block structure; with most entries zero in both U and V, a
-        # 32-row chunk leaves many patterns' columns empty, and some nonzero
-        # in U or V alone
-        rng = np.random.default_rng(n)
-        u, v = (rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n)) for _ in range(2))
-        u[rng.random(u.shape) < zeros] = 0.0
-        v[rng.random(v.shape) < zeros] = 0.0
-        for target in range(n):
-            assert worst_block(u, v, target) == pytest.approx(column_pair_miss(u, v, target), rel=1e-13)
+        assert verdict.phase_distance < 1e-4 < 1e-2 < want
 
     def test_worst_block_counts_leakage_at_first_order(self):
         # RX(2e-3) on control qubit 3 moves amplitude sin(1e-3) to another pattern;
         # with the in-block miss 1 - cos(1e-3), each column misses by 2 sin(5e-4)
-        v = ideal_crot(6, 0.7)
-        u = v @ embed(6, rx(2e-3), 3)
-        assert worst_block(u, v) == pytest.approx(2 * np.sin(5e-4), rel=1e-12)
-        assert worst_block(u, v) == pytest.approx(column_pair_miss(u, v), rel=1e-12)
-        assert phase_distance(u, v) < 1e-6
+        circ = build_crot_circuit(crot_angles(6, 0.7))
+        verdict = verify_circuit(Circuit(6, (Gate.rx(3, 2e-3),) + circ.gates), "crot", 6, alpha=0.7)
+        assert verdict.worst_block == pytest.approx(2 * np.sin(5e-4), rel=1e-9)
+        assert verdict.phase_distance < 1e-6 and not verdict.passed
 
     def test_orthogonal_pair(self):
         z = np.diag([1.0, -1.0]).astype(complex)
@@ -373,31 +359,137 @@ class TestProjectAncilla:
             project_ancilla(np.eye(8, dtype=complex), ancilla, bit)
 
 
+def _covering_circuit(rng, n):
+    """Every gate kind on every qubit, shuffled with as many pulses, on a drawn target."""
+    gates = [Gate(kind, q, rng.uniform(-2 * PI, 2 * PI)) for kind in ("RX", "RY", "RZ") for q in range(n)]
+    gates += [Gate.h(q) for q in range(n)] + [Gate.ms(rng.uniform(-PI, PI)) for _ in range(n)]
+    return Circuit(n, tuple(gates[i] for i in rng.permutation(len(gates))), int(rng.integers(n)))
+
+
+def _compiled(kind, n, target=0, seed=0):
+    """A compiled circuit of kind with drawn angles, as verify_circuit's arguments."""
+    rng = np.random.default_rng(seed)
+    if kind == "toffoli":
+        return build_toffoli_circuit(n), kind, n, {}
+    if kind == "crot":
+        alpha = rng.uniform(-2 * PI, 2 * PI)
+        return build_crot_circuit(crot_angles(n, alpha), target), kind, n, {"alpha": alpha}
+    alphas = tuple(rng.uniform(-PI, PI, n))
+    return build_crot_circuit(weighted_angles(n, alphas), target), kind, n, {"alphas": alphas}
+
+
+def _kicked_toffoli(seed):
+    """A Toffoli train with small rotations on random qubits, the ancilla
+    among them; two of ten have the ancilla moved to qubit 0."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    ancilla = 0 if seed >= 8 else n
+    qubits = (ancilla, *rng.integers(n + 1, size=2))
+    kicks = [Gate(str(rng.choice(["RX", "RY", "RZ"])), q, rng.uniform(-0.1, 0.1)) for q in qubits]
+    circ = build_toffoli_circuit(n)
+    return Circuit(n + 1, circ.gates + tuple(kicks), 0, {ancilla}), "toffoli", n, {}
+
+
+def _ci_leak(kind):
+    """The CI step's leak circuits: RX(1e-3) on control 3 before a crot
+    train, and on the ancilla after a Toffoli train."""
+    if kind == "crot":
+        circ = build_crot_circuit(crot_angles(10, PI / 3))
+        return Circuit(10, (Gate.rx(3, 1e-3),) + circ.gates), "crot", 10, {"alpha": PI / 3}
+    circ = build_toffoli_circuit(9)
+    return Circuit(10, circ.gates + (Gate.rx(9, 1e-3),), 0, circ.ancilla_qubits), "toffoli", 9, {}
+
+
+def _random_verdict_case(seed):
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 6
+    circ = _covering_circuit(rng, n)
+    if seed % 2:
+        return circ, "crot", n, {"alpha": rng.uniform(-2 * PI, 2 * PI)}
+    return circ, "weighted", n, {"alphas": tuple(rng.uniform(-PI, PI, n))}
+
+
+VERDICT_CASES = {
+    **{f"{kind}{n}": (lambda kind=kind, n=n: _compiled(kind, n, seed=n))
+       for kind in ("crot", "weighted", "toffoli") for n in range(2, 9 if kind != "toffoli" else 8)},
+    "crot5_target2": lambda: _compiled("crot", 5, target=2),
+    "weighted4_target3": lambda: _compiled("weighted", 4, target=3),
+    "ci_crot10_leak": lambda: _ci_leak("crot"),
+    "ci_toffoli9_leak": lambda: _ci_leak("toffoli"),
+    **{f"random{seed}": (lambda seed=seed: _random_verdict_case(seed)) for seed in range(30)},
+    **{f"toffoli_kicked{seed}": (lambda seed=seed: _kicked_toffoli(seed)) for seed in range(10)},
+}
+
+
+def _dense_verdict(circ, kind, n, alpha=None, alphas=None):
+    """worst_block, leakage and phase_distance from the dense unitary: the
+    LAPACK column-pair miss, project_ancilla and phase_distance."""
+    u, leakage, target = circuit_unitary(circ), 0.0, circ.target_qubit
+    if kind == "toffoli":
+        u, leakage = project_ancilla(u, next(iter(circ.ancilla_qubits)), 0)
+        ideal, target = ideal_toffoli(n), 0
+    elif kind == "crot":
+        ideal = ideal_crot(n, alpha, target)
+    else:
+        ideal = ideal_weighted(n, alphas, target)
+    return column_pair_miss(u, ideal, target), leakage, phase_distance(u, ideal)
+
+
 class TestVerifyCircuit:
     @pytest.mark.parametrize("kind", ["crot", "toffoli", "weighted"])
     def test_compiled_gates_pass_on_the_measures_it_reports(self, kind):
-        if kind == "toffoli":
-            circ, args = build_toffoli_circuit(3), {}
-            block, leakage = project_ancilla(circuit_unitary(circ), 3, 0)
-            ideal = ideal_toffoli(3)
-        else:
-            if kind == "crot":
-                circ, args, ideal = build_crot_circuit(crot_angles(3, 0.3)), {"alpha": 0.3}, ideal_crot(3, 0.3)
-            else:
-                alphas = (0.4, -1.1, 2.0)
-                circ, args, ideal = build_crot_circuit(weighted_angles(3, alphas)), {"alphas": alphas}, ideal_weighted(3, alphas)
-            block, leakage = circuit_unitary(circ), 0.0
+        circ, _, _, args = _compiled(kind, 3, seed=3)
         verdict = verify_circuit(circ, kind, 3, **args)
+        block_miss, leakage, distance = _dense_verdict(circ, kind, 3, **args)
         assert verdict.passed and verdict.worst_block < 1e-12
-        assert verdict.worst_block == worst_block(block, ideal)
-        assert verdict.leakage == leakage
-        assert verdict.phase_distance == phase_distance(block, ideal)
+        assert verdict.worst_block == pytest.approx(block_miss, rel=1e-12, abs=1e-15)
+        assert verdict.leakage == pytest.approx(leakage, rel=1e-12, abs=1e-15)
+        assert verdict.phase_distance == pytest.approx(distance, abs=1e-14)
+
+    @pytest.mark.parametrize("case", VERDICT_CASES.values(), ids=VERDICT_CASES.keys())
+    def test_verdict_matches_the_dense_reference(self, case):
+        circ, kind, n, args = case()
+        verdict = verify_circuit(circ, kind, n, **args)
+        block_miss, leakage, distance = _dense_verdict(circ, kind, n, **args)
+        assert verdict.worst_block == pytest.approx(block_miss, rel=1e-12, abs=1e-15)
+        assert verdict.leakage == pytest.approx(leakage, rel=1e-12, abs=1e-15)
+        assert verdict.phase_distance == pytest.approx(distance, abs=1e-14)
+        assert verdict.passed == (block_miss <= 1e-6 and leakage <= 1e-6)
 
     def test_a_miss_above_tolerance_fails(self):
         circ = build_crot_circuit(crot_angles(3, 0.3))
         verdict = verify_circuit(circ, "crot", 3, alpha=0.31)
         assert not verdict.passed and verdict.worst_block == pytest.approx(2 * np.sin(0.0025), rel=1e-9)
         assert verify_circuit(circ, "crot", 3, alpha=0.31, tolerance=1e-2).passed
+
+    def test_a_nan_passes_nothing(self):
+        circ = build_crot_circuit(crot_angles(3, 0.3))
+        for kind, args in (("crot", {"alpha": np.nan}), ("weighted", {"alphas": (0.3, np.nan, 0.1)})):
+            verdict = verify_circuit(circ, kind, 3, tolerance=10.0, **args)
+            assert np.isnan(verdict.worst_block) and np.isnan(verdict.phase_distance)
+            assert not verdict.passed
+
+    def test_a_global_phase_is_invisible(self):
+        # on one qubit a pulse is the phase exp(-i*tau/4)
+        verdict = verify_circuit(Circuit(1, (Gate.ms(3.08),)), "crot", 1, alpha=0.0)
+        assert verdict.worst_block == pytest.approx(0.0, abs=1e-15)
+        assert verdict.phase_distance == pytest.approx(0.0, abs=1e-15)
+        # RZ(2*pi) on the target is -1
+        circ = build_crot_circuit(crot_angles(4, 1.1))
+        flipped = Circuit(4, circ.gates + (Gate.rz(0, 2 * PI),))
+        want = verify_circuit(circ, "crot", 4, alpha=1.1).worst_block
+        assert verify_circuit(flipped, "crot", 4, alpha=1.1).worst_block == pytest.approx(want, abs=1e-15)
+
+    def test_builds_no_dense_matrix(self):
+        circ = build_crot_circuit(crot_angles(12, PI / 3))
+        tracemalloc.start()
+        try:
+            verdict = verify_circuit(circ, "crot", 12, alpha=PI / 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one dense 2^12 x 2^12 unitary is 256 MiB
+        assert verdict.passed and peak < 16 * 2**20
 
     @pytest.mark.parametrize(
         "kind, n, kwargs, match",
@@ -415,10 +507,10 @@ class TestVerifyCircuit:
              "no_alpha", "no_alphas", "unknown_kind"],
     )
     def test_bad_requests_raise_before_simulating(self, monkeypatch, kind, n, kwargs, match):
-        def refuse(circuit):
+        def refuse(circuit, keep=()):
             raise AssertionError("simulated a request it should have refused")
 
-        monkeypatch.setattr(simulate, "circuit_unitary", refuse)
+        monkeypatch.setattr(simulate, "_block_store", refuse)
         with pytest.raises(ValueError, match=match):
             verify_circuit(build_crot_circuit(crot_angles(3, 0.3)), kind, n, **kwargs)
 

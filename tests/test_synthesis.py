@@ -17,6 +17,7 @@ from mscompile import (
     CompletionError,
     TrigSeries,
     build_crot_circuit,
+    build_toffoli_circuit,
     circuit_unitary,
     crot_angles,
     evaluate_plan,
@@ -282,6 +283,40 @@ def test_plan_validation():
         CompilationPlan(3, 1.0, -1.0, ())
     with pytest.raises(ValueError):
         CompilationPlan(1, 1.0, -1.0, (0.0,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: crot_angles(4.5, 1.0),
+        lambda: crot_angles("4", 1.0),
+        lambda: crot_angles(True, 1.0),
+        lambda: crot_angles(4, "1.0"),
+        lambda: crot_angles(4, 1j),
+        lambda: crot_angles(4, True),
+        lambda: build_toffoli_circuit(3.0),
+        lambda: weighted_angles(3.0, (0.1, 0.2, 0.3)),
+        lambda: weighted_angles(3, (0.1, "0.2", 0.3)),
+        lambda: weighted_angles(3, (0.1, 0.2, np.complex128(0.3))),
+        lambda: weighted_angles(3, (0.1, np.True_, 0.3)),
+        lambda: CompilationPlan(3.5, 1.0, 1.0, (0.0,)),
+    ],
+    ids=["crot_float_n", "crot_string_n", "crot_bool_n", "crot_string_alpha", "crot_complex_alpha", "crot_bool_alpha",
+         "toffoli_float_n", "weighted_float_n", "weighted_string_angle", "weighted_complex_angle", "weighted_bool_angle",
+         "plan_float_n"],
+)
+def test_arguments_follow_the_ir_rules(call):
+    """A count is an integer and an angle a real number, as in Gate and Circuit."""
+    with pytest.raises(ValueError, match="must be an integer|must be a real number"):
+        call()
+
+
+def test_numpy_counts_and_angles_give_the_same_plans():
+    alphas = (0.4, -1.1, 2.0)
+    assert crot_angles(np.int64(6), np.float64(0.7)) == crot_angles(6, 0.7)
+    assert weighted_angles(np.int32(3), np.array(alphas)) == weighted_angles(3, alphas)
+    assert build_toffoli_circuit(np.int64(3)) == build_toffoli_circuit(3)
+    assert type(CompilationPlan(np.int64(3), 1.0, -1.0, (0.0,)).n) is int
 
 
 def test_extraction_matches_quadruple_on_grid():
