@@ -19,27 +19,28 @@ fused operations in time order: 2x2s on one qubit each, and pulses.
 
 Pulses are diagonal, so only the qubits that some fused 2x2 acts on (the k
 active qubits) ever mix basis states: the unitary is block diagonal, one
-2^k x 2^k block per pattern of the N - k inactive bits.  The executor holds
-only those blocks (the block store), applies each 2x2 as one matmul
-across all of them and each pulse as a phase per block row.
-``circuit_unitary`` writes the dense matrix once at the end;
+2^k x 2^k block per pattern of the N - k inactive bits, and since a pulse
+phases a row by its Hamming weight, every pattern of one weight holds the
+same block.  The executor holds one per weight (the block store), applies
+each 2x2 as one matmul across all of them and each pulse as a phase per
+block row.  ``circuit_unitary`` scatters the store into the dense matrix;
 ``verify_circuit`` judges the store itself.  A pulse train leaves only its
 target active (k = 1; a Toffoli train, qubit 0 and the ancilla), so an
-operation costs O(2^N) instead of O(4^N); with every qubit active this is
-the plain dense simulation.
+operation costs O(N) instead of O(4^N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from .circuit import H, MS, RX, RY, RZ, Circuit
 from .su2 import HADAMARD, norm_2x2, rx, ry, rz
 
-MAX_UNITARY_QUBITS = 13  # a 14-qubit unitary is 4 GiB; verify keeps the same domain
+MAX_UNITARY_QUBITS = 13  # a 14-qubit unitary is 4 GiB; a block store holds at most 4^13 entries
 _ROTATIONS = {RX: rx, RY: ry, RZ: rz}
 
 
@@ -51,43 +52,44 @@ def _deposit(values: np.ndarray, qubits) -> np.ndarray:
     return out
 
 
-def _blocks(n: int, active: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Fancy index of every inactive pattern's block over the active qubits.
+@lru_cache(maxsize=32)
+def _blocks(n: int, active: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fancy index (rows, cols) of every inactive pattern's block over the
+    active qubits, and each pattern's Hamming weight; cached and read-only.
 
-    ``u[_blocks(n, active)]`` has shape (2^(n-k), 2^k, 2^k) for k active
-    qubits.  Entry [c, a, b] is the element whose row has inactive bits c and
-    active bits a, and whose column has inactive bits c and active bits b,
-    each read in ascending qubit order.  With one active qubit (the target)
-    entry c is the 2x2 block of control pattern c, the basis index with the
-    target bit squeezed out; its rows and columns have the target bit 0,
-    then 1.
+    ``u[rows, cols]`` has shape (2^(n-k), 2^k, 2^k) for k active qubits.
+    Entry [c, a, b] is the element whose row has inactive bits c and active
+    bits a, and whose column has inactive bits c and active bits b, each read
+    in ascending qubit order.  With one active qubit (the target) entry c is
+    the 2x2 block of control pattern c, the basis index with the target bit
+    squeezed out; its rows and columns have the target bit 0, then 1.
     """
     inactive = [q for q in range(n) if q not in active]
-    idx = (
-        _deposit(np.arange(2 ** len(inactive)), inactive)[:, None]
-        | _deposit(np.arange(2 ** len(active)), active)[None, :]
-    )
-    return idx[:, :, None], idx[:, None, :]
-
-
-@lru_cache(maxsize=32)
-def _store_layout(n: int, active: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fancy index of the block store, and (n - 2w)^2 for the Hamming weight
-    w of each store row.
-
-    The store is ``u[_blocks(n, active)]`` with its first two axes swapped,
-    shape (2^k, 2^(n-k), 2^k), so that the row bits lead.  Cached per
-    (n, active) and read-only, since every call shares them.
-    """
-    rows, cols = (a.swapaxes(0, 1) for a in _blocks(n, active))
-    spin_sq = (n - 2.0 * np.bitwise_count(rows)) ** 2
-    for a in (rows, cols, spin_sq):
+    patterns = np.arange(2 ** len(inactive))
+    idx = _deposit(patterns, inactive)[:, None] | _deposit(np.arange(2 ** len(active)), active)[None, :]
+    index = idx[:, :, None], idx[:, None, :], np.bitwise_count(patterns)
+    for a in index:
         a.flags.writeable = False
-    return rows, cols, spin_sq
+    return index
+
+
+def _refuse_dense(n: int) -> None:
+    if n > MAX_UNITARY_QUBITS:
+        raise ValueError(f"refusing to build a 2^{n} x 2^{n} unitary (limit {MAX_UNITARY_QUBITS})")
+
+
+def _scatter(by_weight: np.ndarray, n: int, active) -> np.ndarray:
+    """Dense 2^n x 2^n matrix with by_weight[w], a 2^k x 2^k block over the active
+    qubits, at every inactive pattern of weight w; refused above MAX_UNITARY_QUBITS."""
+    _refuse_dense(n)
+    rows, cols, weight = _blocks(n, tuple(active))
+    mat = np.zeros((2**n, 2**n), dtype=complex)
+    mat[rows, cols] = by_weight[weight]
+    return mat
 
 
 def _split_bit(store: np.ndarray, bit: int) -> np.ndarray:
-    """store with its row and column bit ``bit`` split out: (hi, 2, lo, 2^(N-k), hi, 2, lo)."""
+    """store with its row and column bit ``bit`` split out: (hi, 2, lo, N-k+1, hi, 2, lo)."""
     hi, lo = len(store) >> (bit + 1), 1 << bit
     return store.reshape(hi, 2, lo, -1, hi, 2, lo)
 
@@ -145,19 +147,25 @@ def _fused_ops(circuit: Circuit) -> list:
 
 
 def _block_store(circuit: Circuit, keep=()) -> tuple[np.ndarray, list[int]]:
-    """The circuit's block store (``_store_layout``), with the qubits in keep
-    active too, and the active qubits, ascending.  The fused operations of
-    the frame pass run on it: a 2x2 on active[p] is one matmul on bit p of
-    the leading axis, and a pulse a phase per row, from its Hamming weight.
-    More than MAX_UNITARY_QUBITS qubits raise ValueError.
+    """The circuit's block store, with the qubits in keep active too, and the
+    active qubits, ascending.
+
+    For k active qubits the store has shape (2^k, N-k+1, 2^k): entry
+    [a, w, b] is the element whose row has active bits a, whose column has
+    active bits b, and whose inactive bits, the same in both, have Hamming
+    weight w.  The fused operations of the frame pass run on it: a 2x2 on
+    active[p] is one matmul on bit p of the leading axis, and a pulse a phase
+    per row, from its weight |a| + w.  A store over 4^MAX_UNITARY_QUBITS
+    entries raises ValueError before it is allocated.
     """
     n = circuit.num_qubits
-    if n > MAX_UNITARY_QUBITS:
-        raise ValueError(f"refusing to build a 2^{n} x 2^{n} unitary (limit {MAX_UNITARY_QUBITS})")
     ops = _fused_ops(circuit)
     active = sorted({q for q, _ in ops if q is not None}.union(keep))
-    _, cols, spin_sq = _store_layout(n, tuple(active))
-    store = np.eye(2 ** len(active), dtype=complex)[:, None, :].repeat(cols.shape[1], axis=1)
+    k = len(active)
+    if 4**k * (n - k + 1) > 4**MAX_UNITARY_QUBITS:
+        raise ValueError(f"refusing to simulate {k} active of {n} qubits: 4^{k} x {n - k + 1} > 4^13 store entries")
+    spin_sq = (n - 2.0 * (np.bitwise_count(np.arange(2**k))[:, None, None] + np.arange(n - k + 1)[:, None])) ** 2
+    store = np.eye(2**k, dtype=complex)[:, None, :].repeat(n - k + 1, axis=1)
     phases: dict[float, np.ndarray] = {}
     for q, op in ops:
         if q is None:
@@ -170,12 +178,11 @@ def _block_store(circuit: Circuit, keep=()) -> tuple[np.ndarray, list[int]]:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full unitary, column j the circuit applied to |j>: ``_block_store`` scattered into 2^N x 2^N."""
+    """Full unitary, column j the circuit applied to |j>: ``_block_store``
+    scattered into 2^N x 2^N, refused above MAX_UNITARY_QUBITS before it runs."""
+    _refuse_dense(circuit.num_qubits)
     store, active = _block_store(circuit)
-    rows, cols, _ = _store_layout(circuit.num_qubits, tuple(active))
-    mat = np.zeros((2**circuit.num_qubits,) * 2, dtype=complex)
-    mat[rows, cols] = store
-    return mat
+    return _scatter(store.swapaxes(0, 1), circuit.num_qubits, active)
 
 
 def _ideal_blocks(kind: str, n: int, alpha=None, alphas=None) -> np.ndarray:
@@ -194,27 +201,19 @@ def _ideal_blocks(kind: str, n: int, alpha=None, alphas=None) -> np.ndarray:
     return blocks
 
 
-def _dense_ideal(kind: str, n: int, target: int = 0, **angles) -> np.ndarray:
-    """``_ideal_blocks`` at each control pattern of ``_blocks``, as a dense unitary."""
-    blocks = _ideal_blocks(kind, n, **angles)[np.bitwise_count(np.arange(2 ** (n - 1)))]
-    u = np.zeros((2**n, 2**n), dtype=complex)
-    u[_blocks(n, (target,))] = blocks
-    return u
-
-
 def ideal_crot(n: int, alpha: float, target: int = 0) -> np.ndarray:
     """Identity except Rz(alpha) on the target when all controls are |1>."""
-    return _dense_ideal("crot", n, target, alpha=alpha)
+    return _scatter(_ideal_blocks("crot", n, alpha=alpha), n, (target,))
 
 
 def ideal_toffoli(n: int) -> np.ndarray:
     """Bitflip on qubit 0 when qubits 1..n-1 are all |1>."""
-    return _dense_ideal("toffoli", n)
+    return _scatter(_ideal_blocks("toffoli", n), n, (0,))
 
 
 def ideal_weighted(n: int, alphas, target: int = 0) -> np.ndarray:
     """Block-diagonal Rx(alphas[q]) on the target at control weight q."""
-    return _dense_ideal("weighted", n, target, alphas=alphas)
+    return _scatter(_ideal_blocks("weighted", n, alphas=alphas), n, (target,))
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -275,12 +274,13 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
     pattern count at first order, and for unitary V it bounds
     ``phase_distance``, 1 - |tr(V^dag U)| / 2^n, which is reported, not
     judged.  They and the ancilla leakage are read from ``_block_store``
-    with the target (and ancilla) kept active; no dense U or V is built.
+    with the target (and ancilla) kept active: the max runs over inactive
+    weights, and the trace counts weight w once per pattern of that weight.
+    No dense U or V is built; a store over 4^13 entries raises ValueError.
     The circuit passes iff ``worst_block`` and the leakage are both at most
     tolerance; a NaN passes nothing.  A qubit count that does not fit kind,
     a missing angle, or a tolerance that is negative or not finite raises
-    ValueError before anything is simulated, as do more than
-    MAX_UNITARY_QUBITS qubits.
+    ValueError before anything is simulated.
     """
     if not 0.0 <= tolerance < np.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
@@ -308,14 +308,14 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
         leakage = float(np.sqrt(np.max(np.sum(leak.real**2 + leak.imag**2, axis=(0, 1)))))
         active.remove(ancilla)
         store = split[:, 0, :, :, :, 0, :].reshape(2 ** len(active), -1, 2 ** len(active))
-    # control pattern (c, h, l): inactive bits c, active bits above (h) and below (l) the target
+    # control pattern (w, h, l): inactive weight w, active bits above (h) and below (l) the target
     split = _split_bit(store, active.index(target))
-    hi, _, lo, inactive = split.shape[:4]
-    weights = (np.bitwise_count(np.arange(inactive))[:, None, None]
-               + np.bitwise_count(np.arange(hi))[:, None] + np.bitwise_count(np.arange(lo)))
-    ideal = _ideal_blocks(kind, n, alpha, alphas)[weights]
-    own = np.einsum("hilchjl->chlij", split)  # each pattern's own target block, a view
-    trace = np.vdot(ideal, own)  # tr(V^dag U)
+    hi, _, lo, weights = split.shape[:4]
+    weight = np.arange(weights)[:, None, None] + np.bitwise_count(np.arange(hi * lo)).reshape(hi, lo)  # w + |h| + |l|
+    ideal = _ideal_blocks(kind, n, alpha, alphas)[weight]
+    own = np.einsum("hilchjl->chlij", split)  # each weight's own target block, a view
+    patterns = np.array([comb(weights - 1, w) for w in range(weights)], dtype=float)  # inactive patterns per weight
+    trace = np.vdot(ideal, own * patterns[:, None, None, None, None])  # tr(V^dag U)
     own -= np.exp(1j * np.angle(trace)) * ideal
     # each pattern's two columns over every row: its own block, less the
     # ideal, and the amplitude leaked to the other patterns
@@ -323,4 +323,4 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
     gram = sum(row.conj()[..., :, None] * row[..., None, :] for row in columns)
     block_miss = float(np.sqrt(np.max(norm_2x2(gram))))
     passed = block_miss <= tolerance and leakage <= tolerance
-    return Verdict(block_miss, leakage, float(np.maximum(0.0, 1.0 - abs(trace) / 2**n)), passed)
+    return Verdict(block_miss, leakage, float(np.maximum(0.0, 1.0 - abs(trace) / 2.0**n)), passed)

@@ -211,8 +211,9 @@ class TestCompileVerify:
         assert line in out and "FAIL" in out
 
     def test_14_qubit_circuit_is_refused(self, tmp_path, capsys):
+        # an RX on every qubit makes all 14 active: a block store of 4^14 entries, over the 4^13 limit
         path = tmp_path / "big.json"
-        path.write_bytes(serialize(Circuit(14, ())))
+        path.write_bytes(serialize(Circuit(14, tuple(Gate.rx(q, 0.3) for q in range(14)))))
         assert main(["verify", "--circuit", str(path), "--target", "crot", "--n", "14", "--alpha", "0"]) == 64
         assert "refusing" in capsys.readouterr().err
 

@@ -138,12 +138,17 @@ class TestCircuitUnitary:
         np.testing.assert_allclose(circuit_unitary(circ)[:, 5], _gate_by_gate(circ, 5), atol=1e-12)
 
     def test_size_guard(self):
-        # a 14-qubit unitary is 4 GiB: refused before anything is allocated
+        # a 14-qubit unitary is 4 GiB, and a store of 13 active qubits at N = 20 holds 8 * 4^13
+        # entries (8 GiB): each is refused before anything is allocated
+        refused = [lambda n=n: circuit_unitary(Circuit(n, ())) for n in (14, 15)]
+        refused += [lambda: ideal_crot(14, 0.3), lambda: ideal_toffoli(14), lambda: ideal_weighted(14, [0.3] * 14)]
+        wide = Circuit(20, tuple(Gate.rx(q, 0.3) for q in range(13)))
+        refused.append(lambda: verify_circuit(wide, "crot", 20, alpha=0.3))
         tracemalloc.start()
         try:
-            for n in (14, 15):
+            for call in refused:
                 with pytest.raises(ValueError, match="refusing"):
-                    circuit_unitary(Circuit(n, ()))
+                    call()
             assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:
             tracemalloc.stop()
@@ -479,6 +484,24 @@ class TestVerifyCircuit:
         flipped = Circuit(4, circ.gates + (Gate.rz(0, 2 * PI),))
         want = verify_circuit(circ, "crot", 4, alpha=1.1).worst_block
         assert verify_circuit(flipped, "crot", 4, alpha=1.1).worst_block == pytest.approx(want, abs=1e-15)
+
+    def test_a_leak_above_13_qubits_fails(self):
+        # RX(1e-3) on control 3 before a crot train moves 2 sin(2.5e-4) of each
+        # pattern's columns; on the ancilla after a Toffoli train it leaks sin(5e-4)
+        circ = build_crot_circuit(crot_angles(20, PI / 3))
+        verdict = verify_circuit(Circuit(20, (Gate.rx(3, 1e-3),) + circ.gates), "crot", 20, alpha=PI / 3)
+        assert not verdict.passed and verdict.worst_block == pytest.approx(2 * np.sin(2.5e-4), rel=1e-9)
+        circ = build_toffoli_circuit(30)
+        leaky = Circuit(31, circ.gates + (Gate.rx(30, 1e-3),), 0, circ.ancilla_qubits)
+        verdict = verify_circuit(leaky, "toffoli", 30)
+        assert not verdict.passed and verdict.leakage == pytest.approx(np.sin(5e-4), rel=1e-9)
+
+    def test_a_64_qubit_train_passes_its_own_angle_only(self):
+        circ = build_crot_circuit(crot_angles(64, 1.1))
+        verdict = verify_circuit(circ, "crot", 64, alpha=1.1)
+        assert verdict.passed and verdict.worst_block < 1e-11
+        verdict = verify_circuit(circ, "crot", 64, alpha=1.15)
+        assert not verdict.passed and verdict.worst_block == pytest.approx(2 * np.sin(0.0125), rel=1e-9)
 
     def test_builds_no_dense_matrix(self):
         circ = build_crot_circuit(crot_angles(12, PI / 3))
