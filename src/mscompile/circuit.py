@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .su2 import canonical_angle
-from .subspace import _index, _real, phase_reset_ok
+from .subspace import _check_size, _index, _real, phase_reset_ok
 from .synthesis import CompilationPlan, crot_angles
 
 MS = "MS"
@@ -160,9 +160,7 @@ def build_toffoli_circuit(n: int) -> Circuit:
     Hadamards turns that controlled phase into a bitflip.  Costs 2(n+1)
     global pulses.
     """
-    n = _index(n, "n")
-    if n < 2:
-        raise ValueError(f"Toffoli needs at least 2 qubits, got {n}")
+    n = _check_size(n)
     inner = build_crot_circuit(crot_angles(n + 1, 2.0 * math.pi), target=n).gates
     gates = (Gate.h(0), *inner, Gate.h(0))
     return Circuit(n + 1, gates, target_qubit=0, ancilla_qubits=frozenset({n}))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .series import EVEN, ODD, SynthesisError, TrigSeries
-from .subspace import _check_size, compute_thetas, default_params
+from .subspace import _angles, _check_size, compute_thetas, default_params
 
 
 class FittingError(SynthesisError):
@@ -89,9 +89,7 @@ def fit_weight_dependent(n: int, alphas) -> tuple[TrigSeries, TrigSeries]:
     4N - 2, which padding takes to 4N).  Both are flat at every node.
     """
     thetas = np.array(compute_thetas(n, *weighted_params(n)))
-    alphas = np.array([float(a) for a in alphas])
-    if len(alphas) != n:
-        raise ValueError(f"need one angle per control weight 0..{n - 1}, got {len(alphas)}")
+    alphas = np.array(_angles(alphas, n))
     nodes = np.concatenate([thetas, -thetas])
     dips = 2.0 * np.sin(alphas / 4.0) ** 2
     sines = np.sin(alphas / 2.0)

@@ -33,23 +33,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from itertools import accumulate
 
 import numpy as np
 
 from .circuit import H, MS, RX, RY, RZ, Circuit
 from .su2 import HADAMARD, norm_2x2, rx, ry, rz
+from .subspace import _angles, _check_size, _index, _real
 
 MAX_UNITARY_QUBITS = 13  # a 14-qubit unitary is 4 GiB; a block store holds at most 4^13 entries
 _ROTATIONS = {RX: rx, RY: ry, RZ: rz}
-
-
-def _deposit(values: np.ndarray, qubits) -> np.ndarray:
-    """Spread bit b of each value to bit qubits[b] of a basis index."""
-    out = np.zeros_like(values)
-    for bit, q in enumerate(qubits):
-        out |= ((values >> bit) & 1) << q
-    return out
 
 
 @lru_cache(maxsize=32)
@@ -65,9 +58,10 @@ def _blocks(n: int, active: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np
     squeezed out; its rows and columns have the target bit 0, then 1.
     """
     inactive = [q for q in range(n) if q not in active]
-    patterns = np.arange(2 ** len(inactive))
-    idx = _deposit(patterns, inactive)[:, None] | _deposit(np.arange(2 ** len(active)), active)[None, :]
-    index = idx[:, :, None], idx[:, None, :], np.bitwise_count(patterns)
+    # axis i of the reshaped range is qubit n - 1 - i: inactive, then active, each highest first
+    axes = [n - 1 - q for q in reversed([*active, *inactive])]
+    idx = np.arange(2**n).reshape((2,) * n).transpose(axes).reshape(2 ** len(inactive), 2 ** len(active))
+    index = idx[:, :, None], idx[:, None, :], np.bitwise_count(np.arange(2 ** len(inactive)))
     for a in index:
         a.flags.writeable = False
     return index
@@ -80,8 +74,11 @@ def _refuse_dense(n: int) -> None:
 
 def _scatter(by_weight: np.ndarray, n: int, active) -> np.ndarray:
     """Dense 2^n x 2^n matrix with by_weight[w], a 2^k x 2^k block over the active
-    qubits, at every inactive pattern of weight w; refused above MAX_UNITARY_QUBITS."""
+    qubits, at every inactive pattern of weight w; refused above MAX_UNITARY_QUBITS, and
+    unless each active qubit is an integer in range (``Circuit.target_qubit``'s rule)."""
     _refuse_dense(n)
+    if not all(0 <= _index(q, "target_qubit") < n for q in active):
+        raise ValueError(f"target qubits {active} out of range for {n} qubits")
     rows, cols, weight = _blocks(n, tuple(active))
     mat = np.zeros((2**n, 2**n), dtype=complex)
     mat[rows, cols] = by_weight[weight]
@@ -185,19 +182,19 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return _scatter(store.swapaxes(0, 1), circuit.num_qubits, active)
 
 
-def _ideal_blocks(kind: str, n: int, alpha=None, alphas=None) -> np.ndarray:
+def _ideal_blocks(kind: str, n, alpha=None, alphas=None) -> np.ndarray:
     """The ideal 2x2 on the target at each control weight 0..n-1, shape
     (n, 2, 2): crot's Rz(alpha) and toffoli's bitflip at weight n - 1 and
-    the identity below it, weighted's Rx(alphas[w]) at weight w."""
+    the identity below it, weighted's Rx(alphas[w]) at weight w.  The one
+    reader of a request: an unknown kind, an n that is not an integer of at
+    least 1 (2 for toffoli), or an angle that is not real raises ValueError."""
+    if kind not in ("crot", "toffoli", "weighted"):
+        raise ValueError(f"unknown target kind {kind!r}")
+    n = _check_size(n, 2 if kind == "toffoli" else 1)
     if kind == "weighted":
-        alphas = [float(a) for a in alphas]
-        if len(alphas) != n:
-            raise ValueError(f"need {n} angles, got {len(alphas)}")
-        return np.array([rx(a) for a in alphas])
-    if kind == "toffoli" and n < 2:
-        raise ValueError(f"Toffoli needs at least 2 qubits, got {n}")
+        return np.array([rx(a) for a in _angles(alphas, n)])
     blocks = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
-    blocks[-1] = rz(alpha) if kind == "crot" else [[0.0, 1.0], [1.0, 0.0]]
+    blocks[-1] = rz(_real(alpha, "alpha")) if kind == "crot" else [[0.0, 1.0], [1.0, 0.0]]
     return blocks
 
 
@@ -275,27 +272,23 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
     ``phase_distance``, 1 - |tr(V^dag U)| / 2^n, which is reported, not
     judged.  They and the ancilla leakage are read from ``_block_store``
     with the target (and ancilla) kept active: the max runs over inactive
-    weights, and the trace counts weight w once per pattern of that weight.
-    No dense U or V is built; a store over 4^13 entries raises ValueError.
-    The circuit passes iff ``worst_block`` and the leakage are both at most
-    tolerance; a NaN passes nothing.  A qubit count that does not fit kind,
-    a missing angle, or a tolerance that is negative or not finite raises
-    ValueError before anything is simulated.
+    weights, and the trace weighs weight w by its exact share of the
+    patterns, so no qubit count overflows.  No dense U or V is built; a
+    store over 4^13 entries raises ValueError.  The circuit passes iff
+    ``worst_block`` and the leakage are both at most tolerance; a NaN passes
+    nothing.  Every request error is a ValueError raised before anything is
+    simulated: (kind, n, alpha, alphas) by ``_ideal_blocks``, under the
+    rules of the dense ``ideal_*`` and the synthesis entry points; then a
+    tolerance not a finite real number >= 0, or a circuit of the wrong size.
     """
-    if not 0.0 <= tolerance < np.inf:
+    blocks = _ideal_blocks(kind, n, alpha, alphas)  # n is an integer from here on
+    if not 0.0 <= _real(tolerance, "tolerance") < np.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     if kind == "toffoli":
         if circuit.num_qubits != n + 1 or len(circuit.ancilla_qubits) != 1:
             raise ValueError("toffoli target expects n+1 qubits and one ancilla")
-    elif kind in ("crot", "weighted"):
-        if circuit.num_qubits != n:
-            raise ValueError(f"circuit has {circuit.num_qubits} qubits, target expects {n}")
-        if kind == "crot" and alpha is None:
-            raise ValueError("crot target needs --alpha")
-        if kind == "weighted" and alphas is None:
-            raise ValueError("weighted target needs --alphas")
-    else:
-        raise ValueError(f"unknown target kind {kind!r}")
+    elif circuit.num_qubits != n:
+        raise ValueError(f"circuit has {circuit.num_qubits} qubits, target expects {n}")
 
     ancilla = next(iter(circuit.ancilla_qubits)) if kind == "toffoli" else None
     # the target of the Toffoli projection is its qubit 0: the lowest qubit but the ancilla
@@ -312,10 +305,12 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
     split = _split_bit(store, active.index(target))
     hi, _, lo, weights = split.shape[:4]
     weight = np.arange(weights)[:, None, None] + np.bitwise_count(np.arange(hi * lo)).reshape(hi, lo)  # w + |h| + |l|
-    ideal = _ideal_blocks(kind, n, alpha, alphas)[weight]
+    ideal = blocks[weight]
     own = np.einsum("hilchjl->chlij", split)  # each weight's own target block, a view
-    patterns = np.array([comb(weights - 1, w) for w in range(weights)], dtype=float)  # inactive patterns per weight
-    trace = np.vdot(ideal, own * patterns[:, None, None, None, None])  # tr(V^dag U)
+    # weight w's share C(m, w) / 2^m of the m inactive qubits' patterns: int / int is correctly rounded at any m
+    m = weights - 1
+    shares = np.array([c / 2**m for c in accumulate(range(m), lambda c, w: c * (m - w) // (w + 1), initial=1)])
+    trace = np.vdot(ideal, own * shares[:, None, None, None, None])  # tr(V^dag U) / 2^(inactive qubits)
     own -= np.exp(1j * np.angle(trace)) * ideal
     # each pattern's two columns over every row: its own block, less the
     # ideal, and the amplitude leaked to the other patterns
@@ -323,4 +318,4 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
     gram = sum(row.conj()[..., :, None] * row[..., None, :] for row in columns)
     block_miss = float(np.sqrt(np.max(norm_2x2(gram))))
     passed = block_miss <= tolerance and leakage <= tolerance
-    return Verdict(block_miss, leakage, float(np.maximum(0.0, 1.0 - abs(trace) / 2.0**n)), passed)
+    return Verdict(block_miss, leakage, float(np.maximum(0.0, 1.0 - abs(trace) / len(store))), passed)

@@ -44,11 +44,19 @@ def _real(value, what: str, finite: bool = False) -> float:
     return float(value)
 
 
-def _check_size(n) -> int:
-    """A qubit count as an int: an integer of at least 2, else ValueError."""
+def _angles(alphas, n: int) -> list[float]:
+    """Exactly n real numbers (``_real``, NaN allowed) as floats; anything else raises ValueError."""
+    listed = list(alphas) if np.iterable(alphas) else []
+    if len(listed) != n:
+        raise ValueError(f"alphas needs one angle per control weight 0..{n - 1}, got {alphas!r}")
+    return [_real(a, f"alphas[{q}]") for q, a in enumerate(listed)]
+
+
+def _check_size(n, least: int = 2) -> int:
+    """A qubit count as an int: an integer of at least least (one control by default), else ValueError."""
     n = _index(n, "n")
-    if n < 2:
-        raise ValueError(f"need n >= 2 qubits (one control), got n={n}")
+    if n < least:
+        raise ValueError(f"need n >= {least} qubits, got n={n}")
     return n
 
 

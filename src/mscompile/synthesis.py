@@ -22,7 +22,7 @@ import numpy as np
 from .series import EVEN, ODD, SynthesisError, TrigSeries, to_laurent
 from .fitting import fit_A, fit_weight_dependent, weighted_params
 from .su2 import canonical_angle, norm_2x2, rx, rz
-from .subspace import _check_size, _real, compute_thetas, default_params
+from .subspace import _angles, _check_size, _real, compute_thetas, default_params
 
 log = logging.getLogger(__name__)
 
@@ -357,8 +357,9 @@ def weighted_angles(n: int, alphas) -> CompilationPlan:
     """Angle sequence applying Rx(alphas[q]) at control weight q, using 4N
     global pulses: a quadruple of degree 2N - 1 (4N - 2 pulses) plus one
     identity pair from ``pad_for_phase_reset``.  N above WEIGHTED_N_MAX
-    raises SynthesisError; n and each angle follow ``crot_angles``'s rules."""
-    alphas = [_real(a, f"alphas[{q}]") for q, a in enumerate(alphas)]
+    raises SynthesisError; n follows ``crot_angles``'s rules, and alphas
+    must be n real numbers (``subspace._angles``)."""
+    alphas = _angles(alphas, _check_size(n))
     phis = extract_angles(*_weighted_quadruple(n, alphas))
     plan = CompilationPlan(n, *weighted_params(n), phis)
     return pad_for_phase_reset(plan)

@@ -272,6 +272,35 @@ class TestIdealUnitaries:
             np.testing.assert_allclose(block, rx(alphas[bin(ctrl).count('1')]), atol=1e-15)
 
 
+_N_TAKERS = {
+    "ideal_crot": lambda n: ideal_crot(n, 1.0),
+    "ideal_toffoli": ideal_toffoli,
+    "ideal_weighted": lambda n: ideal_weighted(n, [0.1] * 3),
+    "weighted_angles": lambda n: weighted_angles(n, [0.1] * 3),
+    "build_toffoli_circuit": build_toffoli_circuit,
+}
+_ALPHAS_TAKERS = {"ideal_weighted": lambda a: ideal_weighted(3, a), "weighted_angles": lambda a: weighted_angles(3, a)}
+_TARGET_TAKERS = {"ideal_crot": lambda t: ideal_crot(3, 1.0, t), "ideal_weighted": lambda t: ideal_weighted(3, [0.1] * 3, t)}
+BAD_REQUESTS = {
+    **{f"{name}-n={v!r}": (f, v, "n must be an integer|need n >= ")
+       for name, f in _N_TAKERS.items() for v in (True, 3.0, "3", None, 0)},
+    **{f"{name}-n=1": (f, 1, "need n >= 2") for name, f in _N_TAKERS.items() if "toffoli" in name},
+    **{f"ideal_crot-alpha={v!r}": (lambda a: ideal_crot(3, a), v, "alpha must be a real number")
+       for v in (True, "x", None, 1j)},
+    **{f"{name}-alphas={v!r}": (f, v, "alphas")
+       for name, f in _ALPHAS_TAKERS.items() for v in (5, None, [1j, 1, 1], [1, 2], [0.1, True, 0.3], ["0.1", 0.2, 0.3])},
+    **{f"{name}-target={v!r}": (f, v, "target") for name, f in _TARGET_TAKERS.items() for v in (3, -1, 1.0, True)},
+}
+
+
+@pytest.mark.parametrize("case", BAD_REQUESTS.values(), ids=BAD_REQUESTS.keys())
+def test_entry_points_reject_the_same_bad_requests(case):
+    """Each request rule has one owner, so every entry point raises the same ValueError."""
+    call, value, match = case
+    with pytest.raises(ValueError, match=match):
+        call(value)
+
+
 class TestPhaseDistance:
     def test_nan_is_not_clamped(self):
         u = np.eye(4, dtype=complex)
@@ -496,6 +525,12 @@ class TestVerifyCircuit:
         verdict = verify_circuit(leaky, "toffoli", 30)
         assert not verdict.passed and verdict.leakage == pytest.approx(np.sin(5e-4), rel=1e-9)
 
+    def test_a_circuit_past_1023_qubits_is_verified(self):
+        # 2.0**1100 overflows a float; each weight's share of the patterns does not
+        assert verify_circuit(Circuit(1100, ()), "crot", 1100, alpha=0.0).passed
+        verdict = verify_circuit(Circuit(1100, (Gate.rx(3, 1e-3),)), "crot", 1100, alpha=0.0)
+        assert not verdict.passed and verdict.worst_block == pytest.approx(2 * np.sin(2.5e-4), rel=1e-9)
+
     def test_a_64_qubit_train_passes_its_own_angle_only(self):
         circ = build_crot_circuit(crot_angles(64, 1.1))
         verdict = verify_circuit(circ, "crot", 64, alpha=1.1)
@@ -520,14 +555,23 @@ class TestVerifyCircuit:
             ("crot", 3, {"alpha": 0.3, "tolerance": float("nan")}, "tolerance"),
             ("crot", 3, {"alpha": 0.3, "tolerance": -1.0}, "tolerance"),
             ("crot", 3, {"alpha": 0.3, "tolerance": float("inf")}, "tolerance"),
+            ("crot", 3, {"alpha": 0.3, "tolerance": "1e-6"}, "tolerance must be a real number"),
             ("crot", 4, {"alpha": 0.3}, "circuit has 3 qubits, target expects 4"),
             ("toffoli", 3, {}, "toffoli target expects n\\+1 qubits and one ancilla"),
-            ("crot", 3, {}, "crot target needs --alpha"),
-            ("weighted", 3, {}, "weighted target needs --alphas"),
+            ("crot", 3, {}, "alpha must be a real number"),
+            ("weighted", 3, {}, "alphas needs one angle per control weight"),
             ("cnot", 3, {}, "unknown target kind"),
+            ("crot", 3, {"alpha": True}, "alpha must be a real number"),
+            ("crot", 3, {"alpha": "x"}, "alpha must be a real number"),
+            ("crot", 3.0, {"alpha": 0.3}, "n must be an integer"),
+            ("toffoli", 1, {}, "need n >= 2"),
+            ("weighted", 3, {"alphas": [1j, 1, 1]}, "alphas\\[0\\] must be a real number"),
+            ("weighted", 3, {"alphas": 5}, "alphas needs one angle per control weight"),
+            ("weighted", 3, {"alphas": [1, 2]}, "alphas needs one angle per control weight"),
         ],
-        ids=["nan_tolerance", "negative_tolerance", "infinite_tolerance", "qubit_count", "toffoli_count",
-             "no_alpha", "no_alphas", "unknown_kind"],
+        ids=["nan_tolerance", "negative_tolerance", "infinite_tolerance", "string_tolerance", "qubit_count",
+             "toffoli_count", "no_alpha", "no_alphas", "unknown_kind", "bool_alpha", "string_alpha", "float_n",
+             "toffoli_n1", "complex_alphas", "scalar_alphas", "short_alphas"],
     )
     def test_bad_requests_raise_before_simulating(self, monkeypatch, kind, n, kwargs, match):
         def refuse(circuit, keep=()):
