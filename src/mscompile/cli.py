@@ -122,16 +122,19 @@ def cmd_crot_angles(args) -> int:
     return 0
 
 
+def _need_angles(kind: str, args) -> None:
+    """The CLI's own rule, for compile and verify alike: crot needs --alpha, weighted --alphas."""
+    if (flag := {"crot": "alpha", "weighted": "alphas"}.get(kind)) and getattr(args, flag) is None:
+        raise ValueError(f"{kind} needs --{flag}")
+
+
 def cmd_compile(args) -> int:
+    _need_angles(args.kind, args)
     if args.kind == "crot":
-        if args.alpha is None:
-            raise ValueError("crot needs --alpha")
         circ = build_crot_circuit(crot_angles(args.n, args.alpha))
     elif args.kind == "toffoli":
         circ = build_toffoli_circuit(args.n)
     else:
-        if args.alphas is None:
-            raise ValueError("weighted needs --alphas")
         circ = build_crot_circuit(weighted_angles(args.n, args.alphas))
     payload = serialize(circ) if args.format == "json" else to_text(circ).encode()
     with open(args.out, "wb") as fh:
@@ -141,6 +144,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _need_angles(args.target, args)
     try:
         with open(args.circuit, "rb") as fh:
             circ = deserialize(fh.read())

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from math import comb
 
 import numpy as np
 
@@ -74,11 +74,7 @@ def _refuse_dense(n: int) -> None:
 
 def _scatter(by_weight: np.ndarray, n: int, active) -> np.ndarray:
     """Dense 2^n x 2^n matrix with by_weight[w], a 2^k x 2^k block over the active
-    qubits, at every inactive pattern of weight w; refused above MAX_UNITARY_QUBITS, and
-    unless each active qubit is an integer in range (``Circuit.target_qubit``'s rule)."""
-    _refuse_dense(n)
-    if not all(0 <= _index(q, "target_qubit") < n for q in active):
-        raise ValueError(f"target qubits {active} out of range for {n} qubits")
+    qubits, at every inactive pattern of weight w."""
     rows, cols, weight = _blocks(n, tuple(active))
     mat = np.zeros((2**n, 2**n), dtype=complex)
     mat[rows, cols] = by_weight[weight]
@@ -182,35 +178,52 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return _scatter(store.swapaxes(0, 1), circuit.num_qubits, active)
 
 
-def _ideal_blocks(kind: str, n, alpha=None, alphas=None) -> np.ndarray:
-    """The ideal 2x2 on the target at each control weight 0..n-1, shape
-    (n, 2, 2): crot's Rz(alpha) and toffoli's bitflip at weight n - 1 and
-    the identity below it, weighted's Rx(alphas[w]) at weight w.  The one
-    reader of a request: an unknown kind, an n that is not an integer of at
-    least 1 (2 for toffoli), or an angle that is not real raises ValueError."""
+def _read_request(kind: str, n, alpha=None, alphas=None) -> tuple[int, list[float]]:
+    """The one reader of a request, building nothing: n, and crot's [alpha], weighted's n alphas
+    or toffoli's [].  An unknown kind, an n not an integer >= 1 (2 for toffoli) or an angle
+    that is not real raises ValueError."""
     if kind not in ("crot", "toffoli", "weighted"):
         raise ValueError(f"unknown target kind {kind!r}")
     n = _check_size(n, 2 if kind == "toffoli" else 1)
     if kind == "weighted":
-        return np.array([rx(a) for a in _angles(alphas, n)])
+        return n, _angles(alphas, n)
+    return n, [_real(alpha, "alpha")] if kind == "crot" else []
+
+
+def _ideal_blocks(kind: str, n: int, angles: list[float]) -> np.ndarray:
+    """The ideal 2x2 on the target at each control weight 0..n-1 of a read
+    request, shape (n, 2, 2): crot's Rz(alpha) and toffoli's bitflip at weight
+    n - 1 and the identity below it, weighted's Rx(alphas[w]) at weight w."""
+    if kind == "weighted":
+        return np.array([rx(a) for a in angles])
     blocks = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
-    blocks[-1] = rz(_real(alpha, "alpha")) if kind == "crot" else [[0.0, 1.0], [1.0, 0.0]]
+    blocks[-1] = rz(angles[0]) if kind == "crot" else [[0.0, 1.0], [1.0, 0.0]]
     return blocks
+
+
+def _dense_ideal(kind: str, n, target, alpha=None, alphas=None) -> np.ndarray:
+    """A request's ideal as a dense matrix; refused above MAX_UNITARY_QUBITS, and unless
+    target is an integer in range (``Circuit.target_qubit``'s rule), before it is built."""
+    n, angles = _read_request(kind, n, alpha, alphas)
+    _refuse_dense(n)
+    if not 0 <= _index(target, "target_qubit") < n:
+        raise ValueError(f"target qubit {target} out of range for {n} qubits")
+    return _scatter(_ideal_blocks(kind, n, angles), n, (target,))
 
 
 def ideal_crot(n: int, alpha: float, target: int = 0) -> np.ndarray:
     """Identity except Rz(alpha) on the target when all controls are |1>."""
-    return _scatter(_ideal_blocks("crot", n, alpha=alpha), n, (target,))
+    return _dense_ideal("crot", n, target, alpha=alpha)
 
 
 def ideal_toffoli(n: int) -> np.ndarray:
     """Bitflip on qubit 0 when qubits 1..n-1 are all |1>."""
-    return _scatter(_ideal_blocks("toffoli", n), n, (0,))
+    return _dense_ideal("toffoli", n, 0)
 
 
 def ideal_weighted(n: int, alphas, target: int = 0) -> np.ndarray:
     """Block-diagonal Rx(alphas[q]) on the target at control weight q."""
-    return _scatter(_ideal_blocks("weighted", n, alphas=alphas), n, (target,))
+    return _dense_ideal("weighted", n, target, alphas=alphas)
 
 
 def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -277,11 +290,11 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
     store over 4^13 entries raises ValueError.  The circuit passes iff
     ``worst_block`` and the leakage are both at most tolerance; a NaN passes
     nothing.  Every request error is a ValueError raised before anything is
-    simulated: (kind, n, alpha, alphas) by ``_ideal_blocks``, under the
-    rules of the dense ``ideal_*`` and the synthesis entry points; then a
-    tolerance not a finite real number >= 0, or a circuit of the wrong size.
+    built or simulated: (kind, n, alpha, alphas) by ``_read_request``, the
+    rules of the dense ``ideal_*`` and the synthesis entry points, then a
+    tolerance not a finite real number >= 0, then a circuit of the wrong size.
     """
-    blocks = _ideal_blocks(kind, n, alpha, alphas)  # n is an integer from here on
+    n, angles = _read_request(kind, n, alpha, alphas)
     if not 0.0 <= _real(tolerance, "tolerance") < np.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     if kind == "toffoli":
@@ -305,11 +318,11 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
     split = _split_bit(store, active.index(target))
     hi, _, lo, weights = split.shape[:4]
     weight = np.arange(weights)[:, None, None] + np.bitwise_count(np.arange(hi * lo)).reshape(hi, lo)  # w + |h| + |l|
-    ideal = blocks[weight]
+    ideal = _ideal_blocks(kind, n, angles)[weight]  # built only once the circuit fits
     own = np.einsum("hilchjl->chlij", split)  # each weight's own target block, a view
     # weight w's share C(m, w) / 2^m of the m inactive qubits' patterns: int / int is correctly rounded at any m
-    m = weights - 1
-    shares = np.array([c / 2**m for c in accumulate(range(m), lambda c, w: c * (m - w) // (w + 1), initial=1)])
+    m, patterns = weights - 1, 2 ** (weights - 1)
+    shares = np.array([comb(m, w) / patterns for w in range(weights)])
     trace = np.vdot(ideal, own * shares[:, None, None, None, None])  # tr(V^dag U) / 2^(inactive qubits)
     own -= np.exp(1j * np.angle(trace)) * ideal
     # each pattern's two columns over every row: its own block, less the

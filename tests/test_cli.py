@@ -359,6 +359,15 @@ class TestUsageErrors:
         assert captured.err == f"error: {kind} needs {flag}\n" and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,flag", [("crot", "--alpha"), ("weighted", "--alphas")])
+    def test_verify_needs_its_angles(self, tmp_path, capsys, kind, flag):
+        # the same message as compile's: the CLI names its own flag
+        path = tmp_path / "c.json"
+        path.write_bytes(serialize(Circuit(3, ())))
+        assert main(["verify", "--circuit", str(path), "--target", kind, "--n", "3"]) == 64
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {kind} needs {flag}\n" and captured.out == ""
+
     def test_closed_stdout_exits_quietly(self):
         # the pipe's reader is gone before the child writes its first line
         src = str(Path(mscompile.__file__).parents[1])

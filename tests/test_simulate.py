@@ -142,6 +142,8 @@ class TestCircuitUnitary:
         # entries (8 GiB): each is refused before anything is allocated
         refused = [lambda n=n: circuit_unitary(Circuit(n, ())) for n in (14, 15)]
         refused += [lambda: ideal_crot(14, 0.3), lambda: ideal_toffoli(14), lambda: ideal_weighted(14, [0.3] * 14)]
+        # one 2x2 per control weight at n = 10^12 would be 64 TB: refused before any is built
+        refused += [lambda: ideal_crot(10**12, 0.3), lambda: ideal_toffoli(10**12)]
         wide = Circuit(20, tuple(Gate.rx(q, 0.3) for q in range(13)))
         refused.append(lambda: verify_circuit(wide, "crot", 20, alpha=0.3))
         tracemalloc.start()
@@ -568,10 +570,13 @@ class TestVerifyCircuit:
             ("weighted", 3, {"alphas": [1j, 1, 1]}, "alphas\\[0\\] must be a real number"),
             ("weighted", 3, {"alphas": 5}, "alphas needs one angle per control weight"),
             ("weighted", 3, {"alphas": [1, 2]}, "alphas needs one angle per control weight"),
+            # the circuit's size is checked before a 2x2 per control weight (64 TB here) is built
+            ("crot", 10**12, {"alpha": 0.3}, "circuit has 3 qubits"),
+            ("toffoli", 10**12, {}, "toffoli target expects n\\+1 qubits"),
         ],
         ids=["nan_tolerance", "negative_tolerance", "infinite_tolerance", "string_tolerance", "qubit_count",
              "toffoli_count", "no_alpha", "no_alphas", "unknown_kind", "bool_alpha", "string_alpha", "float_n",
-             "toffoli_n1", "complex_alphas", "scalar_alphas", "short_alphas"],
+             "toffoli_n1", "complex_alphas", "scalar_alphas", "short_alphas", "huge_n", "huge_toffoli_n"],
     )
     def test_bad_requests_raise_before_simulating(self, monkeypatch, kind, n, kwargs, match):
         def refuse(circuit, keep=()):
