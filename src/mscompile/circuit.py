@@ -166,24 +166,38 @@ def build_toffoli_circuit(n: int) -> Circuit:
     return Circuit(n + 1, gates, target_qubit=0, ancilla_qubits=frozenset({n}))
 
 
-def _gate_to_json(gate: Gate) -> dict:
-    if gate.kind == MS:
-        return {"type": MS, "tau": gate.angle}
-    if gate.kind == H:
-        return {"type": H, "qubit": gate.qubit}
-    return {"type": gate.kind, "qubit": gate.qubit, "angle": gate.angle}
+# each gate kind's entry in the "gates" list as json.dumps(indent=1) lays it out: %d an index, %r an angle
+_GATE_JSON = {
+    MS: '  {\n   "type": "MS",\n   "tau": %r\n  }',
+    H: '  {\n   "type": "H",\n   "qubit": %d\n  }',
+    **{kind: '  {\n   "type": "%s",\n   "qubit": %%d,\n   "angle": %%r\n  }' % kind for kind in _ROTATIONS},
+}
+
+
+def _json_list(items: list[str]) -> str:
+    """A top-level list of already indented items, as json.dumps(indent=1) writes it."""
+    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
 
 
 def serialize(circuit: Circuit) -> bytes:
-    """Canonical JSON encoding (lossless round-trip of double angles)."""
-    doc = {
-        "version": 1,
-        "num_qubits": circuit.num_qubits,
-        "target_qubit": circuit.target_qubit,
-        "ancilla_qubits": sorted(circuit.ancilla_qubits),
-        "gates": [_gate_to_json(g) for g in circuit.gates],
-    }
-    return json.dumps(doc, indent=1).encode()
+    """Canonical JSON encoding (lossless round-trip of double angles).
+
+    Byte-identical to ``json.dumps(doc, indent=1)`` of {version, num_qubits,
+    target_qubit, ancilla_qubits (sorted), gates}, each gate {type, tau} (MS),
+    {type, qubit} (H) or {type, qubit, angle}, but written directly: one text
+    template, joined from one per gate kind, filled once with the indices and
+    angles, ints and floats by ``Gate``'s rules, which json also writes by repr.
+    """
+    ancillas = sorted(circuit.ancilla_qubits)
+    template = (
+        '{\n "version": 1,\n "num_qubits": %d,\n "target_qubit": %d,\n "ancilla_qubits": '
+        + _json_list(["  %d"] * len(ancillas))
+        + ',\n "gates": '
+        + _json_list([_GATE_JSON[g.kind] for g in circuit.gates])
+        + "\n}"
+    )
+    fields = [v for g in circuit.gates for v in (g.qubit, g.angle) if v is not None]  # in each template's order
+    return (template % (circuit.num_qubits, circuit.target_qubit, *ancillas, *fields)).encode()
 
 
 def deserialize(data: bytes | str) -> Circuit:

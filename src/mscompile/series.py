@@ -42,7 +42,7 @@ class TrigSeries:
     def __post_init__(self):
         if self.parity not in (EVEN, ODD):
             raise ParityError(f"parity must be {EVEN!r} or {ODD!r}, got {self.parity!r}")
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple([float(c) for c in self.coeffs])  # exact size, as in synthesis.CompilationPlan
         if not coeffs:
             raise ValueError("coeffs must have at least one entry (k = 0)")
         if self.parity == ODD and coeffs[0] != 0.0:

@@ -12,10 +12,14 @@ sum are kept, contributing a global phase per pulse.
 
 ``circuit_unitary`` simulates any gate list literally, in two passes.  The
 frame pass keeps a per-qubit Hadamard frame (qubit q's rows are held in the
-X basis iff its flag is set) and a pending 2x2 per qubit, so an ``H`` gate
-costs nothing, a run of single-qubit gates on one qubit fuses into one 2x2,
-and a pulse only rotates the qubits not yet in the X frame.  It lists the
-fused operations in time order: 2x2s on one qubit each, and pulses.
+X basis iff its flag is set) and a pending rotation per qubit, so an ``H``
+gate costs nothing, a rotation on a qubit in the X frame is recorded as its
+conjugate of the swapped kind (H Rx H = Rz, H Ry(t) H = Ry(-t), H Rz H = Rx),
+and a run of rotations on one qubit fuses in scalar arithmetic into one
+2x2.  A pulse rotates only the qubits not yet in the X frame, and after the
+first pulse it visits only the set of qubits that some gate touched since
+the previous one.  It lists the fused operations in time order: 2x2s on
+one qubit each, and pulses.
 
 Pulses are diagonal, so only the qubits that some fused 2x2 acts on (the k
 active qubits) ever mix basis states: the unitary is block diagonal, one
@@ -38,11 +42,13 @@ from math import comb
 import numpy as np
 
 from .circuit import H, MS, RX, RY, RZ, Circuit
-from .su2 import HADAMARD, norm_2x2, rx, ry, rz
+from .su2 import HADAMARD, matrix, norm_2x2, rotation, rx, rz
 from .subspace import _angles, _check_size, _index, _real
 
 MAX_UNITARY_QUBITS = 13  # a 14-qubit unitary is 4 GiB; a block store holds at most 4^13 entries
-_ROTATIONS = {RX: rx, RY: ry, RZ: rz}
+# a rotation's (axis, sign of its angle) in the computational frame, and in the X frame: H X H = Z, H Y H = -Y
+_AXES = {RX: ("x", 1.0), RY: ("y", 1.0), RZ: ("z", 1.0)}
+_X_FRAME_AXES = {RX: ("z", 1.0), RY: ("y", -1.0), RZ: ("x", 1.0)}
 
 
 @lru_cache(maxsize=32)
@@ -92,50 +98,62 @@ def _apply_single(store: np.ndarray, u2: np.ndarray, bit: int) -> np.ndarray:
     return np.matmul(u2, store.reshape(len(store) >> (bit + 1), 2, -1)).reshape(store.shape)
 
 
-def _flush(ops: list, frame: list[bool], pending: list, x_frame: bool) -> None:
-    """Append (qubit, 2x2) for every pending 2x2, moving each qubit into (or
-    out of) the X frame.
+def _flush(ops: list, frame: list[bool], pending: dict, qubits, x_frame: bool) -> None:
+    """Append (qubit, 2x2) for each of qubits, ascending, that holds a pending
+    2x2 or is out of the x_frame, moving it into (or out of) the X frame.
 
-    Once ops is applied, the accumulated unitary has every qubit's rows in
-    the X basis (x_frame) or the computational basis (not x_frame).
+    The caller passes every qubit for which that may hold: once ops is
+    applied, the accumulated unitary has every qubit's rows in the X basis
+    (x_frame) or the computational basis (not x_frame).
     """
-    for q in range(len(frame)):
-        u2 = pending[q]
-        if frame[q] != x_frame:
-            u2 = HADAMARD if u2 is None else HADAMARD @ u2
-        if u2 is not None:
-            ops.append((q, u2))
-        frame[q], pending[q] = x_frame, None
+    for q in sorted(qubits):
+        flip = frame[q] != x_frame
+        if q in pending:
+            u2 = matrix(*pending.pop(q))
+            ops.append((q, HADAMARD @ u2 if flip else u2))
+        elif flip:
+            ops.append((q, HADAMARD))
+        frame[q] = x_frame
 
 
 def _fused_ops(circuit: Circuit) -> list:
     """Frame pass: (qubit, 2x2) per fused gate and (None, tau) per pulse, in order.
 
     The accumulated unitary is held as U = (prod_q H_q^f_q P_q) M: a
-    Hadamard-frame flag f_q and a pending 2x2 P_q (in the frame basis) per
-    qubit, and M, the operations listed so far.  An ``H`` gate on q only
-    flips f_q.  A rotation g on q is fused into P_q, conjugated as H g H
-    when f_q is set.  A pulse first lists H^(1 - f_q) P_q for each qubit
-    where that is not the identity (for a controlled-rotation train: the
-    target alone), then itself, leaving every qubit in the X frame.  The
-    end lists H^f_q P_q the same way.
+    Hadamard-frame flag f_q and a pending SU(2) element P_q (in the frame
+    basis, as ``su2.rotation``'s (a, b) pair) per qubit, and M, the
+    operations listed so far.  An ``H`` gate on q only flips f_q.  A
+    rotation on q is fused into P_q in scalar arithmetic; when f_q is set it
+    is recorded as its conjugate, H Rx(t) H = Rz(t), H Ry(t) H = Ry(-t),
+    H Rz(t) H = Rx(t).  A pulse first lists H^(1 - f_q) P_q wherever that is
+    not the identity, then itself, leaving every qubit in the X frame; the
+    end lists H^f_q P_q the same way.  Only the first pulse and the end
+    (after a pulse) visit every qubit; otherwise only the qubits some gate
+    touched since the last pulse can need it, so a controlled-rotation
+    train costs O(1) per gate and its 2x2s act on the target alone.
     """
     ops: list[tuple[int | None, np.ndarray | float]] = []
     frame = [False] * circuit.num_qubits
-    pending: list[np.ndarray | None] = [None] * circuit.num_qubits  # None stands for the identity
+    pending: dict[int, tuple[complex, complex]] = {}  # absent stands for the identity
+    touched: set[int] = set()
+    every = range(circuit.num_qubits)
+    pulsed = False
     for gate in circuit.gates:
+        q = gate.qubit
         if gate.kind == MS:
-            _flush(ops, frame, pending, x_frame=True)
+            _flush(ops, frame, pending, touched if pulsed else every, x_frame=True)
             ops.append((None, gate.angle))
+            touched, pulsed = set(), True
         elif gate.kind == H:
-            frame[gate.qubit] = not frame[gate.qubit]
+            frame[q] = not frame[q]
+            touched.add(q)
         else:
-            q = gate.qubit
-            u2 = _ROTATIONS[gate.kind](gate.angle)
-            if frame[q]:
-                u2 = HADAMARD @ u2 @ HADAMARD
-            pending[q] = u2 if pending[q] is None else u2 @ pending[q]
-    _flush(ops, frame, pending, x_frame=False)
+            axis, sign = (_X_FRAME_AXES if frame[q] else _AXES)[gate.kind]
+            a, b = rotation(axis, sign * gate.angle)
+            a0, b0 = pending.get(q, (1.0, 0.0))
+            pending[q] = a * a0 - b.conjugate() * b0, b * a0 + a.conjugate() * b0
+            touched.add(q)
+    _flush(ops, frame, pending, every if pulsed else touched, x_frame=False)
     return ops
 
 
@@ -160,13 +178,14 @@ def _block_store(circuit: Circuit, keep=()) -> tuple[np.ndarray, list[int]]:
     spin_sq = (n - 2.0 * (np.bitwise_count(np.arange(2**k))[:, None, None] + np.arange(n - k + 1)[:, None])) ** 2
     store = np.eye(2**k, dtype=complex)[:, None, :].repeat(n - k + 1, axis=1)
     phases: dict[float, np.ndarray] = {}
+    bit = {q: p for p, q in enumerate(active)}
     for q, op in ops:
         if q is None:
             if op not in phases:
                 phases[op] = np.exp(-0.25j * op * spin_sq)
             store *= phases[op]
         else:
-            store = _apply_single(store, op, active.index(q))
+            store = _apply_single(store, op, bit[q])
     return store, active
 
 

@@ -6,27 +6,37 @@ has period 4*pi and R_a(2*pi) = -1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 
+def rotation(axis: str, angle: float) -> tuple[complex, complex]:
+    """(a, b) with R_axis(angle) = [[a, -b*], [b, a*]], for axis "x", "y" or "z"."""
+    half = angle / 2.0 if math.isfinite(angle) else math.nan  # NaN entries for an inf angle, as numpy gives
+    c, s = math.cos(half), math.sin(half)
+    if axis == "x":
+        return complex(c), complex(0.0, -s)
+    if axis == "y":
+        return complex(c), complex(s)
+    return complex(c, -s), 0j
+
+
+def matrix(a: complex, b: complex) -> np.ndarray:
+    """The SU(2) element [[a, -b*], [b, a*]]."""
+    return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+
+
 def rx(angle: float) -> np.ndarray:
     """exp(-i*angle/2 * X)."""
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    return np.array([[c, -1.0j * s], [-1.0j * s, c]])
-
-
-def ry(angle: float) -> np.ndarray:
-    """exp(-i*angle/2 * Y)."""
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]])
+    return matrix(*rotation("x", angle))
 
 
 def rz(angle: float) -> np.ndarray:
     """exp(-i*angle/2 * Z)."""
-    p = np.exp(-0.5j * angle)
-    return np.array([[p, 0.0], [0.0, np.conj(p)]])
+    return matrix(*rotation("z", angle))
 
 
 def canonical_angle(angle: float) -> float:

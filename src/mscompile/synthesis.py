@@ -53,7 +53,9 @@ class CompilationPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_size(self.n))
-        phis = tuple(float(p) for p in self.phis)
+        # from a list, not a generator: tuple() then takes the exact size rather than
+        # resizing, so a long-running caller does not fill CPython's tuple free lists
+        phis = tuple([float(p) for p in self.phis])
         if not phis:
             raise ValueError("phis must contain at least phi_0")
         if (len(phis) - 1) % 2 != 0:
@@ -242,7 +244,7 @@ def extract_angles(a: TrigSeries, b: TrigSeries, c: TrigSeries, d: TrigSeries) -
     log.debug("extraction residual %.3e (L = %d)", worst, 2 * degree)
     if not worst <= RECONSTRUCTION_TOL:  # a NaN miss fails too
         raise ExtractionError(f"reconstruction error {worst:.3e} exceeds {RECONSTRUCTION_TOL}")
-    return tuple(canonical_angle(p) for p in phis)
+    return tuple([canonical_angle(p) for p in phis])  # exact size, as in CompilationPlan
 
 
 def pad_for_phase_reset(plan: CompilationPlan) -> CompilationPlan:

@@ -122,7 +122,49 @@ class TestToffoli:
             build_toffoli_circuit(3)
 
 
+def _json_reference(circ):
+    """The file as json.dumps(indent=1) writes the circuit's document."""
+    gates = []
+    for g in circ.gates:
+        if g.kind == "MS":
+            gates.append({"type": "MS", "tau": g.angle})
+        elif g.kind == "H":
+            gates.append({"type": "H", "qubit": g.qubit})
+        else:
+            gates.append({"type": g.kind, "qubit": g.qubit, "angle": g.angle})
+    doc = {
+        "version": 1,
+        "num_qubits": circ.num_qubits,
+        "target_qubit": circ.target_qubit,
+        "ancilla_qubits": sorted(circ.ancilla_qubits),
+        "gates": gates,
+    }
+    return json.dumps(doc, indent=1).encode()
+
+
+# every gate kind at the extreme angles: -0.0, the least subnormal, a tiny, a huge and -pi
+_EXTREMES = (-0.0, 5e-324, 1e-300, 1e308, -PI)
+FORMAT_CASES = {
+    "no_gates": lambda: Circuit(3, ()),
+    "no_gates_with_ancillas": lambda: Circuit(4, (), target_qubit=1, ancilla_qubits=frozenset({3, 0})),
+    "every_kind_extreme_angles": lambda: Circuit(
+        5,
+        tuple(g for i, a in enumerate(_EXTREMES) for g in (Gate.ms(a), Gate.h(i), Gate.rx(i, a), Gate.ry(4 - i, a), Gate.rz(i, a))),
+        target_qubit=2,
+        ancilla_qubits=frozenset({4}),
+    ),
+    "crot": lambda: build_crot_circuit(crot_angles(5, -PI)),
+    "toffoli": lambda: build_toffoli_circuit(4),
+}
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("case", sorted(FORMAT_CASES))
+    def test_file_is_json_dumps_indent_1(self, case):
+        circ = FORMAT_CASES[case]()
+        assert serialize(circ) == _json_reference(circ)
+        assert deserialize(serialize(circ)) == circ
+
     def test_round_trip(self):
         for circ in (
             build_crot_circuit(crot_angles(3, 0.3)),
@@ -289,4 +331,5 @@ def _circuits(draw):
 @given(circ=_circuits())
 def test_any_circuit_round_trips(circ):
     """Python or numpy ints and floats are stored as int and float, so serialize writes them all."""
+    assert serialize(circ) == _json_reference(circ)
     assert deserialize(serialize(circ)) == circ

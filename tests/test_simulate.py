@@ -78,6 +78,33 @@ FRAME_CASES = {
     "ends_with_pending": [Gate.ms(0.8), Gate.rx(0, 0.4), Gate.h(0), Gate.ry(0, 1.3), Gate.rz(2, 0.2)],
 }
 
+# 3-qubit gate lists, and the qubit of each fused op in order (None for a pulse):
+# a pulse or the end lists only the qubits whose frame flag or pending 2x2 changed
+FLUSH_CASES = {
+    # H on a control between pulses takes it out of the X frame: it is flushed again
+    "h_on_control_between_pulses": (
+        [Gate.h(1), Gate.h(2), Gate.ms(0.5), Gate.h(1), Gate.ms(0.5), Gate.h(1), Gate.h(2)],
+        [0, None, 1, None, 0],
+    ),
+    # two H on one qubit cancel: nothing is listed for them
+    "two_h_between_pulses": (
+        [Gate.h(0), Gate.h(1), Gate.h(2), Gate.ms(0.5), Gate.h(1), Gate.h(1), Gate.ms(0.5), Gate.h(0), Gate.h(1), Gate.h(2)],
+        [None, None],
+    ),
+    "ry_in_x_frame": (
+        [Gate.h(1), Gate.h(2), Gate.ms(0.6), Gate.ry(0, 0.7), Gate.ry(1, -1.3), Gate.ms(0.6), Gate.h(1), Gate.h(2)],
+        [0, None, 0, 1, None, 0],
+    ),
+    "rotations_after_last_pulse": (
+        [Gate.h(1), Gate.h(2), Gate.ms(0.6), Gate.rx(0, 0.3), Gate.rz(1, -0.8), Gate.ry(2, 1.2), Gate.ry(2, 0.4)],
+        [0, None, 0, 1, 2],
+    ),
+    "no_ms": (
+        [Gate.h(0), Gate.rx(1, 0.4), Gate.h(0), Gate.ry(2, -0.6), Gate.rz(1, 1.0), Gate.h(2)],
+        [1, 2],
+    ),
+}
+
 
 class TestApplyGate:
     def test_hadamard_on_zero(self):
@@ -175,6 +202,24 @@ class TestFrameTracker:
     @pytest.mark.parametrize("case", sorted(FRAME_CASES))
     def test_frame_cases(self, case):
         self._check(Circuit(3, tuple(FRAME_CASES[case])))
+
+    @pytest.mark.parametrize("case", sorted(FLUSH_CASES))
+    def test_flushes_only_what_changed(self, case):
+        gates, listed = FLUSH_CASES[case]
+        circ = Circuit(3, tuple(gates))
+        self._check(circ)
+        assert [q for q, _ in _fused_ops(circ)] == listed
+
+    def test_ry_in_the_x_frame_is_recorded_with_its_sign_flipped(self):
+        circ = Circuit(2, (Gate.h(1), Gate.ms(0.4), Gate.ry(0, 0.7), Gate.ms(0.4), Gate.h(1)))
+        held = [u2 for q, u2 in _fused_ops(circ) if q == 0][1]  # between the pulses, in the X frame
+        c, s = np.cos(0.35), np.sin(0.35)
+        np.testing.assert_allclose(held, [[c, s], [-s, c]], atol=1e-15)  # Ry(-0.7) = H Ry(0.7) H
+
+    @pytest.mark.parametrize("target", [0, 31])
+    def test_a_compiled_train_touches_its_target_alone(self, target):
+        ops = _fused_ops(build_crot_circuit(crot_angles(64, 1.1), target=target))
+        assert {q for q, _ in ops if q is not None} == {target}
 
 
 def _with_control_rx(circ, qubit):
