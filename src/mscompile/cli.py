@@ -64,7 +64,7 @@ def parse_angle_list(text: str) -> tuple[float, ...]:
 
 
 def _positive_int(text: str) -> int:
-    """Parse an integer of at least 1 (``--precision``)."""
+    """Parse an integer of at least 1 (``--precision``, ``--grid-points``)."""
     try:
         value = int(text)
     except ValueError:
@@ -109,7 +109,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("series", help="tabulate the fitted series A, B, C, D over theta")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=parse_angle, required=True)
-    p.add_argument("--grid-points", type=int, default=513)
+    p.add_argument("--grid-points", type=_positive_int, default=513)
     p.add_argument("--out", required=True)
 
     sub.add_parser("table", help="merged angles and worst_block verdicts for N = 3..6, alpha = -pi")

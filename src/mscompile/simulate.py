@@ -128,22 +128,21 @@ def _fused_ops(circuit: Circuit) -> list:
     H Rz(t) H = Rx(t).  A pulse first lists H^(1 - f_q) P_q wherever that is
     not the identity, then itself, leaving every qubit in the X frame; the
     end lists H^f_q P_q the same way.  Only the first pulse and the end
-    (after a pulse) visit every qubit; otherwise only the qubits some gate
-    touched since the last pulse can need it, so a controlled-rotation
-    train costs O(1) per gate and its 2x2s act on the target alone.
+    visit every qubit (in a circuit with no pulse, an untouched one lists
+    nothing); otherwise only the qubits some gate touched since the last
+    pulse can need it, so a controlled-rotation train costs O(1) per gate
+    and its 2x2s act on the target alone.
     """
     ops: list[tuple[int | None, np.ndarray | float]] = []
     frame = [False] * circuit.num_qubits
     pending: dict[int, tuple[complex, complex]] = {}  # absent stands for the identity
-    touched: set[int] = set()
-    every = range(circuit.num_qubits)
-    pulsed = False
+    touched = set(range(circuit.num_qubits))  # before the first pulse, every qubit counts as touched
     for gate in circuit.gates:
         q = gate.qubit
         if gate.kind == MS:
-            _flush(ops, frame, pending, touched if pulsed else every, x_frame=True)
+            _flush(ops, frame, pending, touched, x_frame=True)
             ops.append((None, gate.angle))
-            touched, pulsed = set(), True
+            touched = set()
         elif gate.kind == H:
             frame[q] = not frame[q]
             touched.add(q)
@@ -153,7 +152,7 @@ def _fused_ops(circuit: Circuit) -> list:
             a0, b0 = pending.get(q, (1.0, 0.0))
             pending[q] = a * a0 - b.conjugate() * b0, b * a0 + a.conjugate() * b0
             touched.add(q)
-    _flush(ops, frame, pending, every if pulsed else touched, x_frame=False)
+    _flush(ops, frame, pending, range(circuit.num_qubits), x_frame=False)
     return ops
 
 

@@ -28,10 +28,9 @@ log = logging.getLogger(__name__)
 
 NORMALIZATION_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
-# the largest N each kind is compiled at in the tests and CI (Toffoli n
-# compiles a crot on n + 1 qubits, so it stops at 255)
-CROT_N_MAX = 256
-WEIGHTED_N_MAX = 32
+# the longest padded train that the tests and CI compile: it bounds every kind,
+# crot at N = 256 (2N pulses, so Toffoli n = 255) and weighted at N = 128 (4N)
+MAX_PULSES = 512
 
 
 class CompletionError(SynthesisError):
@@ -295,6 +294,12 @@ def _pole_depth(n: int, alpha: float) -> float:
             y -= step
 
 
+def _check_budget(kind: str, n: int, pulses_per_qubit: int) -> None:
+    """Raise SynthesisError if kind's padded train, pulses_per_qubit * n pulses, exceeds MAX_PULSES."""
+    if pulses_per_qubit * n > MAX_PULSES:
+        raise SynthesisError(f"{kind} is supported up to N = {MAX_PULSES // pulses_per_qubit}, got N = {n}")
+
+
 def _crot_quadruple(n: int, alpha: float) -> tuple[TrigSeries, TrigSeries, TrigSeries, TrigSeries]:
     """Normalized (A, B, C, D) of the controlled rotation: fitted A, zero B.
 
@@ -307,10 +312,9 @@ def _crot_quadruple(n: int, alpha: float) -> tuple[TrigSeries, TrigSeries, TrigS
 
     The controlled block is A(pi) + i*D(pi)*Z, so it is Rz(alpha) iff
     D(pi) = -sin(alpha/2).  A miss over RECONSTRUCTION_TOL raises
-    CompletionError, and N above CROT_N_MAX raises SynthesisError first.
+    CompletionError, and N > MAX_PULSES / 2 raises SynthesisError first.
     """
-    if n > CROT_N_MAX:
-        raise SynthesisError(f"crot is supported up to N = {CROT_N_MAX}, got N = {n}")
+    _check_budget("crot", n, 2)
     a = fit_A(n, alpha)
     b = TrigSeries.zero(ODD)
     kappa = 2.0 * np.sin(alpha / 4.0) ** 2
@@ -334,10 +338,9 @@ def _weighted_quadruple(n: int, alphas) -> tuple[TrigSeries, TrigSeries, TrigSer
     and |w_j| = 1, P = 1 - A^2 - B^2 = 1/2 sum_{j,l} F_j F_l |w_j - w_l|^2,
     a sum of non-negative terms, with |w_j - w_l| formed from the angle
     differences.  Its zeros near the circle are the double zeros at the
-    nodes.  N above WEIGHTED_N_MAX raises SynthesisError first.
+    nodes.  N > MAX_PULSES / 4 raises SynthesisError first.
     """
-    if n > WEIGHTED_N_MAX:
-        raise SynthesisError(f"weighted is supported up to N = {WEIGHTED_N_MAX}, got N = {n}")
+    _check_budget("weighted", n, 4)
     a, b = fit_weight_dependent(n, alphas)
     thetas = np.array(compute_thetas(n, *weighted_params(n)))
     nodes = np.concatenate([thetas, -thetas])
@@ -355,7 +358,7 @@ def crot_angles(n: int, alpha: float) -> CompilationPlan:
     controls are |1>, using 2N global pulses: a quadruple of degree N - 1
     (2N - 2 pulses) plus one identity pair from ``pad_for_phase_reset``.
     alpha is used as given; every stage reads it through 4*pi-periodic
-    functions.  N above CROT_N_MAX raises SynthesisError; an n that is not
+    functions.  N > MAX_PULSES / 2 raises SynthesisError; an n that is not
     an integer of at least 2, or an alpha that is not a real number (a
     bool, string or complex), raises ValueError."""
     tau, h = default_params(n)
@@ -366,7 +369,7 @@ def crot_angles(n: int, alpha: float) -> CompilationPlan:
 def weighted_angles(n: int, alphas) -> CompilationPlan:
     """Angle sequence applying Rx(alphas[q]) at control weight q, using 4N
     global pulses: a quadruple of degree 2N - 1 (4N - 2 pulses) plus one
-    identity pair from ``pad_for_phase_reset``.  N above WEIGHTED_N_MAX
+    identity pair from ``pad_for_phase_reset``.  N > MAX_PULSES / 4
     raises SynthesisError; n follows ``crot_angles``'s rules, and alphas
     must be n real numbers (``subspace._angles``)."""
     alphas = _angles(alphas, _check_size(n))

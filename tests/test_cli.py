@@ -21,8 +21,11 @@ from mscompile import (
     serialize,
 )
 from mscompile.cli import main, parse_angle
+from mscompile.synthesis import MAX_PULSES
 
 PI = np.pi
+# the largest N within the pulse budget: crot spends 2N pulses (Toffoli n compiles crot n + 1), weighted 4N
+CROT_MAX, WEIGHTED_MAX = MAX_PULSES // 2, MAX_PULSES // 4
 
 
 class TestParseAngle:
@@ -304,6 +307,14 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("usage:") and "argument --precision: expected an integer >= 1" in captured.err
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_grid_points_must_be_a_positive_integer(self, tmp_path, capsys, value):
+        out = tmp_path / "s.tsv"
+        assert main(["series", "--n", "3", "--alpha", "1", "--out", str(out), "--grid-points", value]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("usage:") and "argument --grid-points: expected an integer >= 1" in captured.err
+
     def test_small_n(self, tmp_path):
         out = ["--out", str(tmp_path / "x")]
         for args in (
@@ -316,21 +327,22 @@ class TestUsageErrors:
             assert main(args) == 64, args
 
     @pytest.mark.parametrize(
-        "args",
+        "args,limit",
         [
-            ["crot-angles", "--n", "257", "--alpha", "pi"],
-            ["compile", "--kind", "crot", "--n", "257", "--alpha", "pi"],
-            ["compile", "--kind", "toffoli", "--n", "256"],
-            ["compile", "--kind", "weighted", "--n", "33", "--alphas", ",".join(["0.3"] * 33)],
-            ["series", "--n", "257", "--alpha", "1"],
+            (["crot-angles", "--n", str(CROT_MAX + 1), "--alpha", "pi"], CROT_MAX),
+            (["compile", "--kind", "crot", "--n", str(CROT_MAX + 1), "--alpha", "pi"], CROT_MAX),
+            (["compile", "--kind", "toffoli", "--n", str(CROT_MAX)], CROT_MAX),
+            (["compile", "--kind", "weighted", "--n", str(WEIGHTED_MAX + 1),
+              "--alphas", ",".join(["0.3"] * (WEIGHTED_MAX + 1))], WEIGHTED_MAX),
+            (["series", "--n", str(CROT_MAX + 1), "--alpha", "1"], CROT_MAX),
         ],
         ids=["crot_angles", "crot", "toffoli", "weighted", "series"],
     )
-    def test_above_n_max_is_a_synthesis_error(self, tmp_path, capsys, args):
+    def test_above_n_max_is_a_synthesis_error(self, tmp_path, capsys, args, limit):
         if args[0] in ("compile", "series"):
             args = [*args, "--out", str(tmp_path / "x.json")]
         assert main(args) == 2
-        assert "supported up to N" in capsys.readouterr().err
+        assert f"supported up to N = {limit}," in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from mscompile import (
     ODD,
     CompilationPlan,
     CompletionError,
+    SynthesisError,
     TrigSeries,
     build_crot_circuit,
     build_toffoli_circuit,
@@ -30,7 +31,7 @@ from mscompile import (
 )
 from mscompile import synthesis
 from mscompile.su2 import norm_2x2, rx, rz
-from mscompile.synthesis import WEIGHTED_N_MAX, _crot_quadruple, _weighted_quadruple
+from mscompile.synthesis import MAX_PULSES, _crot_quadruple, _weighted_quadruple
 
 GRID = np.linspace(0, 2 * np.pi, 1024, endpoint=False)
 
@@ -280,10 +281,24 @@ class TestWeightedAngles:
         assert seen == [(4 * n - 2, 4 * n)]
 
     def test_compiles_at_n_max(self):
-        # the largest weighted N a test compiles, so README's N_max (N_max + 1 is in test_cli)
-        rng = np.random.default_rng(WEIGHTED_N_MAX)
-        for alphas in (rng.uniform(-np.pi, np.pi, WEIGHTED_N_MAX), 0.7 + 1e-6 * rng.uniform(-1.0, 1.0, WEIGHTED_N_MAX)):
-            assert node_block_miss(weighted_angles(WEIGHTED_N_MAX, alphas), weighted_targets(alphas)) <= 1e-9
+        # the largest weighted N within the pulse budget (4N pulses), so README's N_max (N_max + 1 is in test_cli)
+        n = MAX_PULSES // 4
+        rng = np.random.default_rng(n)
+        for alphas in (rng.uniform(-np.pi, np.pi, n), 0.7 + 1e-6 * rng.uniform(-1.0, 1.0, n)):
+            assert node_block_miss(weighted_angles(n, alphas), weighted_targets(alphas)) <= 1e-9
+
+
+@pytest.mark.parametrize("kind,pulses_per_qubit", [("crot", 2), ("weighted", 4)], ids=["crot", "weighted"])
+def test_over_budget_is_refused_before_the_fit(monkeypatch, kind, pulses_per_qubit):
+    """A train over MAX_PULSES raises SynthesisError before any numerics: the fit is never called."""
+    def fit(*args):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(synthesis, "fit_A", fit)
+    monkeypatch.setattr(synthesis, "fit_weight_dependent", fit)
+    n = 10**5
+    with pytest.raises(SynthesisError, match=f"{kind} is supported up to N = {MAX_PULSES // pulses_per_qubit}, got N = {n}"):
+        crot_angles(n, 1.0) if kind == "crot" else weighted_angles(n, np.zeros(n))
 
 
 def test_plan_validation():
