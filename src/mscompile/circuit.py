@@ -128,11 +128,12 @@ def build_crot_circuit(plan: CompilationPlan, target: int = 0) -> Circuit:
         )
     controls = [q for q in range(plan.n) if q != target]
     gates = [Gate.h(q) for q in controls]
+    ms, rx = Gate.ms(plan.tau), Gate.rx(target, plan.h)  # frozen, so every pulse shares them
     # indexed rather than sliced: CPython 3.11 puts a freed 20-item tuple on a
     # free list that it never allocates from, so a 21-angle plan's slice would stay
     for j in range(plan.num_pulses, 0, -1):
         phi = plan.phis[j]
-        gates += [Gate.rz(target, -phi), Gate.ms(plan.tau), Gate.rx(target, plan.h), Gate.rz(target, phi)]
+        gates += [Gate.rz(target, -phi), ms, rx, Gate.rz(target, phi)]
     gates.extend(Gate.h(q) for q in controls)
     gates.append(Gate.rz(target, plan.phis[0]))
     return Circuit(plan.n, tuple(gates), target_qubit=target)

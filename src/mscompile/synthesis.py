@@ -31,6 +31,9 @@ RECONSTRUCTION_TOL = 1e-9
 # the longest padded train that the tests and CI compile: it bounds every kind,
 # crot at N = 256 (2N pulses, so Toffoli n = 255) and weighted at N = 128 (4N)
 MAX_PULSES = 512
+# grid points per row block of the weighted P: its (rows, 2N) arrays stay within
+# 2 MiB at every N, and grids of up to 1024 points (weighted N <= 8) are one block
+_P_BLOCK_ROWS = 1024
 
 
 class CompletionError(SynthesisError):
@@ -74,13 +77,16 @@ def evaluate_plan(phis, theta: float) -> np.ndarray:
 
         Rz(phi) Rx(theta) Rz(-phi) = [[c, -i*s*exp(-i*phi)], [-i*s*exp(i*phi), c]]
 
-    with c, s = cos(theta/2), sin(theta/2) taken once per call, and applied
-    as one 2x2 product.
+    with c, s = cos(theta/2), sin(theta/2) and every exp(i*phi) taken once
+    per call, and applied as one 2x2 product.
     """
     c, minus_i_s = rotation("x", theta)
+    phis = np.asarray(phis, dtype=float)
+    with np.errstate(invalid="ignore"):  # an inf phi gives NaN entries, as su2.rotation's rule does
+        phases = np.exp(1j * phis[1:]).tolist()
     u = rz(phis[0])
-    for phi in phis[1:]:
-        u = u @ matrix(c, minus_i_s * rotation("z", -2.0 * phi)[0])  # Rz(-2*phi)[0, 0] = exp(i*phi)
+    for e in phases:
+        u = u @ matrix(c, minus_i_s * e)
     return u
 
 
@@ -178,10 +184,15 @@ def complete(p: np.ndarray, roots: np.ndarray, degree: int, d_sign_at_pi: int) -
     return TrigSeries(ODD, tuple(c_coeffs)), TrigSeries(EVEN, tuple(d_coeffs))
 
 
-def _step_projectors(phi: float) -> tuple[np.ndarray, np.ndarray]:
+def _peel_step(live: np.ndarray, phi: float) -> np.ndarray:
+    """live[1:] @ T+ + live[:-1] @ T- with T+- = (1 -+ [[0, conj(e)], [e, 0]]) / 2, e = exp(i*phi).
+
+    In closed form: with x = live[1:] and y = live[:-1], column 0 is
+    (x0 + y0 - e (x1 - y1)) / 2 and column 1 is (x1 + y1 - conj(e) (x0 - y0)) / 2.
+    """
     e = np.exp(1j * phi)
-    t_plus = 0.5 * np.array([[1.0, -np.conj(e)], [-e, 1.0]])
-    return t_plus, np.eye(2) - t_plus
+    x, y = live[1:], live[:-1]
+    return 0.5 * (x + y - (x - y)[..., ::-1] * (e, e.conjugate()))
 
 
 def _peel(live: np.ndarray) -> tuple[list[float], np.ndarray]:
@@ -205,10 +216,9 @@ def _peel(live: np.ndarray) -> tuple[list[float], np.ndarray]:
         # phi is the relative phase of lead's dominant right singular vector
         # v, and arg(conj(v_0) v_1) = arg((lead^H lead)[0, 1])
         phi = float(-np.angle(-np.vdot(lead[:, 0], lead[:, 1])))
-        t_plus, t_minus = _step_projectors(phi)
-        # exponent e of the next layer is (e + 1) @ t_plus + (e - 1) @ t_minus;
-        # the top and bottom exponents cancel structurally and are not formed
-        live = live[1:] @ t_plus + live[:-1] @ t_minus
+        # exponent k of the next layer is (k + 1) @ T+ + (k - 1) @ T-; the top
+        # and bottom exponents cancel structurally and are not formed
+        live = _peel_step(live, phi)
         phis_rev.append(phi)
     return phis_rev, live[0]
 
@@ -338,17 +348,22 @@ def _weighted_quadruple(n: int, alphas) -> tuple[TrigSeries, TrigSeries, TrigSer
     and |w_j| = 1, P = 1 - A^2 - B^2 = 1/2 sum_{j,l} F_j F_l |w_j - w_l|^2,
     a sum of non-negative terms, with |w_j - w_l| formed from the angle
     differences.  Its zeros near the circle are the double zeros at the
-    nodes.  N > MAX_PULSES / 4 raises SynthesisError first.
+    nodes.  P is formed in row blocks of _P_BLOCK_ROWS grid points, so its
+    memory does not grow with the grid.  The caller applies the pulse
+    budget (``weighted_angles``).
     """
-    _check_budget("weighted", n, 4)
     a, b = fit_weight_dependent(n, alphas)
     thetas = np.array(compute_thetas(n, *weighted_params(n)))
     nodes = np.concatenate([thetas, -thetas])
     alphas = np.asarray(alphas, dtype=float)
     phases = np.concatenate([-alphas, alphas]) / 2.0  # w_j = exp(i*phases[j])
-    fejer = _fejer(2 * n, np.subtract.outer(_completion_grid(2 * n - 1), nodes))
     gaps = 4.0 * np.sin(np.subtract.outer(phases, phases) / 2.0) ** 2
-    p = 0.5 * np.einsum("ij,ij->i", fejer, fejer @ gaps)
+    grid = _completion_grid(2 * n - 1)
+    p = np.empty(grid.size)
+    for start in range(0, grid.size, _P_BLOCK_ROWS):
+        rows = slice(start, start + _P_BLOCK_ROWS)
+        fejer = _fejer(2 * n, np.subtract.outer(grid[rows], nodes))
+        p[rows] = 0.5 * np.einsum("ij,ij->i", fejer, fejer @ gaps)
     c, d = complete(p, np.exp(1j * nodes), 2 * n - 1, +1)
     return a, b, c, d
 
@@ -370,9 +385,12 @@ def weighted_angles(n: int, alphas) -> CompilationPlan:
     """Angle sequence applying Rx(alphas[q]) at control weight q, using 4N
     global pulses: a quadruple of degree 2N - 1 (4N - 2 pulses) plus one
     identity pair from ``pad_for_phase_reset``.  N > MAX_PULSES / 4
-    raises SynthesisError; n follows ``crot_angles``'s rules, and alphas
-    must be n real numbers (``subspace._angles``)."""
-    alphas = _angles(alphas, _check_size(n))
+    raises SynthesisError before alphas is read; n follows
+    ``crot_angles``'s rules, and alphas must be n real numbers
+    (``subspace._angles``)."""
+    n = _check_size(n)
+    _check_budget("weighted", n, 4)
+    alphas = _angles(alphas, n)
     phis = extract_angles(*_weighted_quadruple(n, alphas))
     plan = CompilationPlan(n, *weighted_params(n), phis)
     return pad_for_phase_reset(plan)

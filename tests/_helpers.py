@@ -97,9 +97,10 @@ def full_width_angles(a, b, c, d) -> tuple[float, ...]:
     """Reference peel for extract_angles, without its reconstruction check.
 
     Holds the matrix coefficients of every w-exponent -L..L, the wrong
-    parity as zeros, multiplies the whole array by both step projectors and
-    then zeroes the exponents that must cancel: the full-width form of the
-    layer stripping that extract_angles does on the live layer alone.
+    parity as zeros, takes extract_angles's closed-form step over the whole
+    array and then zeroes the exponents that must cancel: the full-width
+    form of the layer stripping that extract_angles does on the live layer
+    alone.
     """
     degree = max(s.degree for s in (a, b, c, d))
     av, bv, cv, dv = (to_laurent(s.padded(degree)) for s in (a, b, c, d))
@@ -120,14 +121,13 @@ def full_width_angles(a, b, c, d) -> tuple[float, ...]:
             continue
         phi = float(-np.angle(-np.vdot(lead[:, 0], lead[:, 1])))
         e = np.exp(1j * phi)
-        t_plus = 0.5 * np.array([[1.0, -np.conj(e)], [-e, 1.0]])
-        t_minus = np.eye(2) - t_plus
-        new = np.zeros_like(gcoef)
-        new[:-1] += gcoef[1:] @ t_plus
-        new[1:] += gcoef[:-1] @ t_minus
+        # exponent k of the next layer is (k + 1) @ T+ + (k - 1) @ T-, zero past either end
+        zero = np.zeros((1, 2, 2), dtype=complex)
+        x, y = np.concatenate([gcoef[1:], zero]), np.concatenate([zero, gcoef[:-1]])
+        new = 0.5 * (x + y - (x - y)[..., ::-1] * (e, e.conjugate()))
         new[offset + ell :] = 0.0
         new[: offset - ell] = 0.0
-        gcoef[:] = new
+        gcoef = new
         phis_rev.append(phi)
         ell -= 1
     phi0 = float(-2.0 * np.angle(gcoef[num_pulses][0, 0]))

@@ -334,9 +334,11 @@ class TestUsageErrors:
             (["compile", "--kind", "toffoli", "--n", str(CROT_MAX)], CROT_MAX),
             (["compile", "--kind", "weighted", "--n", str(WEIGHTED_MAX + 1),
               "--alphas", ",".join(["0.3"] * (WEIGHTED_MAX + 1))], WEIGHTED_MAX),
+            # the budget is checked before the angles are read, so a short list does not matter
+            (["compile", "--kind", "weighted", "--n", str(WEIGHTED_MAX + 1), "--alphas", "0.3"], WEIGHTED_MAX),
             (["series", "--n", str(CROT_MAX + 1), "--alpha", "1"], CROT_MAX),
         ],
-        ids=["crot_angles", "crot", "toffoli", "weighted", "series"],
+        ids=["crot_angles", "crot", "toffoli", "weighted", "weighted_short_alphas", "series"],
     )
     def test_above_n_max_is_a_synthesis_error(self, tmp_path, capsys, args, limit):
         if args[0] in ("compile", "series"):

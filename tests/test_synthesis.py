@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from _helpers import (
@@ -74,6 +76,14 @@ class TestEvaluatePlan:
             for phi in phis[1:]:
                 want = want @ rz(phi) @ rx(theta) @ rz(-phi)
             np.testing.assert_allclose(evaluate_plan(phis, theta), want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_angle_gives_nan_entries_quietly(self, bad):
+        # su2.rotation's rule: NaN entries, with no exception and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for phis in ((0.0, bad, 0.3), (bad, 0.2, 0.3), (0.1, 0.2, bad)):
+                assert np.isnan(evaluate_plan(phis, 1.1)).all(), phis
 
     def test_special_unitary(self):
         rng = np.random.default_rng(12)
@@ -290,12 +300,15 @@ class TestWeightedAngles:
 
 @pytest.mark.parametrize("kind,pulses_per_qubit", [("crot", 2), ("weighted", 4)], ids=["crot", "weighted"])
 def test_over_budget_is_refused_before_the_fit(monkeypatch, kind, pulses_per_qubit):
-    """A train over MAX_PULSES raises SynthesisError before any numerics: the fit is never called."""
-    def fit(*args):
-        raise AssertionError("the fit ran")
+    """A train over MAX_PULSES raises SynthesisError before any numerics: neither the
+    fit nor the O(n) read of the weighted angles is called."""
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} ran")
+        return call
 
-    monkeypatch.setattr(synthesis, "fit_A", fit)
-    monkeypatch.setattr(synthesis, "fit_weight_dependent", fit)
+    for name in ("fit_A", "fit_weight_dependent", "_angles"):
+        monkeypatch.setattr(synthesis, name, refuse(name))
     n = 10**5
     with pytest.raises(SynthesisError, match=f"{kind} is supported up to N = {MAX_PULSES // pulses_per_qubit}, got N = {n}"):
         crot_angles(n, 1.0) if kind == "crot" else weighted_angles(n, np.zeros(n))
@@ -359,6 +372,18 @@ def test_extraction_matches_quadruple_on_grid():
             assert err < 1e-9, (degree, theta, err)
 
 
+def test_peel_step_is_the_projector_product():
+    rng = np.random.default_rng(21)
+    for length in (2, 3, 8, 33):
+        for phi in (0.0, np.pi, -np.pi / 2, *rng.uniform(-np.pi, np.pi, 4)):
+            live = rng.uniform(-1, 1, (length, 2, 2)) + 1j * rng.uniform(-1, 1, (length, 2, 2))
+            e = np.exp(1j * phi)
+            t_plus = 0.5 * np.array([[1.0, -np.conj(e)], [-e, 1.0]])
+            t_minus = np.eye(2) - t_plus
+            want = live[1:] @ t_plus + live[:-1] @ t_minus
+            np.testing.assert_allclose(synthesis._peel_step(live, phi), want, rtol=0, atol=1e-15)
+
+
 def test_live_layer_peel_matches_the_full_width_peel_bit_for_bit():
     rng = np.random.default_rng(20)
     cases = [
@@ -371,6 +396,25 @@ def test_live_layer_peel_matches_the_full_width_peel_bit_for_bit():
             cases.append((f"weighted {n} {alphas}", _weighted_quadruple(n, alphas)))
     for name, quad in cases:
         assert extract_angles(*quad) == full_width_angles(*quad), name
+
+
+@pytest.mark.parametrize("n", [9, 32])
+def test_weighted_p_in_row_blocks_matches_one_block(monkeypatch, n):
+    # grids of 2048 and 4096 points: two and four blocks of synthesis._P_BLOCK_ROWS
+    seen = []
+    complete = synthesis.complete
+    monkeypatch.setattr(synthesis, "complete", lambda p, *rest: seen.append(p) or complete(p, *rest))
+    alphas = np.random.default_rng(n).uniform(-np.pi, np.pi, n)
+    _weighted_quadruple(n, alphas)
+    thetas = np.array(synthesis.compute_thetas(n, *synthesis.weighted_params(n)))
+    nodes = np.concatenate([thetas, -thetas])
+    grid = synthesis._completion_grid(2 * n - 1)
+    assert grid.size > synthesis._P_BLOCK_ROWS
+    phases = np.concatenate([-alphas, alphas]) / 2.0
+    fejer = synthesis._fejer(2 * n, np.subtract.outer(grid, nodes))
+    gaps = 4.0 * np.sin(np.subtract.outer(phases, phases) / 2.0) ** 2
+    want = 0.5 * np.einsum("ij,ij->i", fejer, fejer @ gaps)
+    np.testing.assert_allclose(seen[0], want, rtol=1e-14, atol=0)
 
 
 def test_norm_2x2_matches_lapack():
