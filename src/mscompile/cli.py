@@ -104,7 +104,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=parse_angle)
     p.add_argument("--alphas", type=parse_angle_list)
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=float, default=simulate.VERIFY_TOLERANCE)
 
     p = sub.add_parser("series", help="tabulate the fitted series A, B, C, D over theta")
     p.add_argument("--n", type=int, required=True)

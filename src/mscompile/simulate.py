@@ -28,9 +28,11 @@ phases a row by its Hamming weight, every pattern of one weight holds the
 same block.  The executor holds one per weight (the block store), applies
 each 2x2 as one matmul across all of them and each pulse as a phase per
 block row.  ``circuit_unitary`` scatters the store into the dense matrix;
-``verify_circuit`` judges the store itself.  A pulse train leaves only its
-target active (k = 1; a Toffoli train, qubit 0 and the ancilla), so an
-operation costs O(N) instead of O(4^N).
+``verify_circuit`` judges the store itself, on one path for every kind: the
+target, then a Toffoli's ancilla, sit on its lowest bits, and the slice that
+flips the ancilla is the leakage.  A pulse train leaves only its target
+active (k = 1; a Toffoli train, qubit 0 and the ancilla), so an operation
+costs O(N) instead of O(4^N).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .su2 import HADAMARD, matrix, norm_2x2, rotation, rx, rz
 from .subspace import _angles, _check_size, _index, _real
 
 MAX_UNITARY_QUBITS = 13  # a 14-qubit unitary is 4 GiB; a block store holds at most 4^13 entries
+VERIFY_TOLERANCE = 1e-6  # the default of verify_circuit and of mscompile verify --tolerance
 # a rotation's (axis, sign of its angle) in the computational frame, and in the X frame: H X H = Z, H Y H = -Y
 _AXES = {RX: ("x", 1.0), RY: ("y", 1.0), RZ: ("z", 1.0)}
 _X_FRAME_AXES = {RX: ("z", 1.0), RY: ("y", -1.0), RZ: ("x", 1.0)}
@@ -85,12 +88,6 @@ def _scatter(by_weight: np.ndarray, n: int, active) -> np.ndarray:
     mat = np.zeros((2**n, 2**n), dtype=complex)
     mat[rows, cols] = by_weight[weight]
     return mat
-
-
-def _split_bit(store: np.ndarray, bit: int) -> np.ndarray:
-    """store with its row and column bit ``bit`` split out: (hi, 2, lo, N-k+1, hi, 2, lo)."""
-    hi, lo = len(store) >> (bit + 1), 1 << bit
-    return store.reshape(hi, 2, lo, -1, hi, 2, lo)
 
 
 def _apply_single(store: np.ndarray, u2: np.ndarray, bit: int) -> np.ndarray:
@@ -156,9 +153,10 @@ def _fused_ops(circuit: Circuit) -> list:
     return ops
 
 
-def _block_store(circuit: Circuit, keep=()) -> tuple[np.ndarray, list[int]]:
-    """The circuit's block store, with the qubits in keep active too, and the
-    active qubits, ascending.
+def _block_store(circuit: Circuit, first=()) -> tuple[np.ndarray, list[int]]:
+    """The circuit's block store and its active qubits in bit order: the
+    qubits in first, in order and active whether a gate touches them or
+    not, then the others ascending.
 
     For k active qubits the store has shape (2^k, N-k+1, 2^k): entry
     [a, w, b] is the element whose row has active bits a, whose column has
@@ -170,7 +168,7 @@ def _block_store(circuit: Circuit, keep=()) -> tuple[np.ndarray, list[int]]:
     """
     n = circuit.num_qubits
     ops = _fused_ops(circuit)
-    active = sorted({q for q, _ in ops if q is not None}.union(keep))
+    active = [*first, *sorted({q for q, _ in ops if q is not None}.difference(first))]
     k = len(active)
     if 4**k * (n - k + 1) > 4**MAX_UNITARY_QUBITS:
         raise ValueError(f"refusing to simulate {k} active of {n} qubits: 4^{k} x {n - k + 1} > 4^13 store entries")
@@ -290,7 +288,7 @@ class Verdict:
     passed: bool
 
 
-def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None, tolerance: float = 1e-6) -> Verdict:
+def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None, tolerance=VERIFY_TOLERANCE) -> Verdict:
     """Simulate circuit and judge it against the ideal gate of kind on n qubits.
 
     kind is "crot" (needs alpha), "toffoli" (n logical qubits plus one
@@ -301,16 +299,18 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
     tr(V^dag U): a miss in its own block and amplitude leaked to another
     pattern count at first order, and for unitary V it bounds
     ``phase_distance``, 1 - |tr(V^dag U)| / 2^n, which is reported, not
-    judged.  They and the ancilla leakage are read from ``_block_store``
-    with the target (and ancilla) kept active: the max runs over inactive
-    weights, and the trace weighs weight w by its exact share of the
-    patterns, so no qubit count overflows.  No dense U or V is built; a
-    store over 4^13 entries raises ValueError.  The circuit passes iff
-    ``worst_block`` and the leakage are both at most tolerance; a NaN passes
-    nothing.  Every request error is a ValueError raised before anything is
-    built or simulated: (kind, n, alpha, alphas) by ``_read_request``, the
-    rules of the dense ``ideal_*`` and the synthesis entry points, then a
-    tolerance not a finite real number >= 0, then a circuit of the wrong size.
+    judged.  All three come from ``_block_store`` with the target, then the
+    ancilla, on its lowest bits, seen as (r, ancilla, target) on rows and
+    columns: the leakage from the slice that flips the ancilla, the rest
+    where it stays |0>.  The trace weighs inactive weight w by its exact
+    share of the patterns, so no qubit count overflows.  No dense U or V is
+    built; a store over 4^13 entries raises ValueError.  The circuit passes
+    iff ``worst_block`` and the leakage are both at most tolerance; a NaN
+    passes nothing.  Every request error is a ValueError raised before
+    anything is built or simulated: (kind, n, alpha, alphas) by
+    ``_read_request``, the rules of the dense ``ideal_*`` and the synthesis
+    entry points, then a tolerance not a finite real number >= 0, then a
+    circuit of the wrong size.
     """
     n, angles = _read_request(kind, n, alpha, alphas)
     if not 0.0 <= _real(tolerance, "tolerance") < np.inf:
@@ -321,32 +321,27 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
     elif circuit.num_qubits != n:
         raise ValueError(f"circuit has {circuit.num_qubits} qubits, target expects {n}")
 
-    ancilla = next(iter(circuit.ancilla_qubits)) if kind == "toffoli" else None
-    # the target of the Toffoli projection is its qubit 0: the lowest qubit but the ancilla
-    target = circuit.target_qubit if ancilla is None else int(ancilla == 0)
-    store, active = _block_store(circuit, keep={target} if ancilla is None else {target, ancilla})
-    leakage = 0.0
-    if ancilla is not None:
-        split = _split_bit(store, active.index(ancilla))
-        leak = split[:, 1, :, :, :, 0, :]  # enters with the ancilla |0>, leaves with it |1>
-        leakage = float(np.sqrt(np.max(np.sum(leak.real**2 + leak.imag**2, axis=(0, 1)))))
-        active.remove(ancilla)
-        store = split[:, 0, :, :, :, 0, :].reshape(2 ** len(active), -1, 2 ** len(active))
-    # control pattern (w, h, l): inactive weight w, active bits above (h) and below (l) the target
-    split = _split_bit(store, active.index(target))
-    hi, _, lo, weights = split.shape[:4]
-    weight = np.arange(weights)[:, None, None] + np.bitwise_count(np.arange(hi * lo)).reshape(hi, lo)  # w + |h| + |l|
+    # the target, then the ancilla; the Toffoli target is its qubit 0, the lowest qubit but the ancilla
+    first = ((int(0 in circuit.ancilla_qubits), *circuit.ancilla_qubits) if kind == "toffoli"
+             else (circuit.target_qubit,))
+    store, _ = _block_store(circuit, first)
+    # rows and columns as (other active bits r, ancilla bit, target bit); the ancilla axis has size 1 but for toffoli
+    r, a = len(store) >> len(first), len(first)
+    split = store.reshape(r, a, 2, -1, r, a, 2)
+    leak = split[:, 1:, :, :, :, 0, :]  # enters with the ancilla |0>, leaves with it |1>: empty but for toffoli
+    leakage = float(np.sqrt(np.max(np.sum(leak.real**2 + leak.imag**2, axis=(0, 1, 2)))))
+    block = split[:, 0, :, :, :, 0, :]  # (r, target, w, r, target), a view
+    m = block.shape[2] - 1  # inactive qubits
+    weight = np.arange(m + 1)[:, None] + np.bitwise_count(np.arange(r))  # control pattern (w, r): w + |r|
     ideal = _ideal_blocks(kind, n, angles)[weight]  # built only once the circuit fits
-    own = np.einsum("hilchjl->chlij", split)  # each weight's own target block, a view
+    own = np.einsum("riwrj->wrij", block)  # each pattern's own target block, a view
     # weight w's share C(m, w) / 2^m of the m inactive qubits' patterns: int / int is correctly rounded at any m
-    m, patterns = weights - 1, 2 ** (weights - 1)
-    shares = np.array([comb(m, w) / patterns for w in range(weights)])
-    trace = np.vdot(ideal, own * shares[:, None, None, None, None])  # tr(V^dag U) / 2^(inactive qubits)
+    shares = np.array([comb(m, w) / 2**m for w in range(m + 1)])
+    trace = np.vdot(ideal, own * shares[:, None, None, None])  # tr(V^dag U) / 2^(inactive qubits)
     own -= np.exp(1j * np.angle(trace)) * ideal
     # each pattern's two columns over every row: its own block, less the
     # ideal, and the amplitude leaked to the other patterns
-    columns = np.moveaxis(split.reshape(len(store), *split.shape[3:]), 3, -1)
-    gram = sum(row.conj()[..., :, None] * row[..., None, :] for row in columns)
+    gram = sum(row.conj()[..., :, None] * row[..., None, :] for rows in block for row in rows)
     block_miss = float(np.sqrt(np.max(norm_2x2(gram))))
     passed = block_miss <= tolerance and leakage <= tolerance
-    return Verdict(block_miss, leakage, float(np.maximum(0.0, 1.0 - abs(trace) / len(store))), passed)
+    return Verdict(block_miss, leakage, float(np.maximum(0.0, 1.0 - abs(trace) / (2 * r))), passed)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -459,15 +460,26 @@ def _compiled(kind, n, target=0, seed=0):
     return build_crot_circuit(weighted_angles(n, alphas), target), kind, n, {"alphas": alphas}
 
 
-def _kicked_toffoli(seed):
+def _relabelled_toffoli(n, ancilla):
+    """A Toffoli train with its ancilla, qubit n, moved to qubit ancilla and
+    the logical qubits from there on moved up by one."""
+    perm = [*range(ancilla), *range(ancilla + 1, n + 1), ancilla]
+    circ = build_toffoli_circuit(n)
+    gates = tuple(g if g.qubit is None else replace(g, qubit=perm[g.qubit]) for g in circ.gates)
+    return Circuit(n + 1, gates, perm[0], {ancilla}), "toffoli", n, {}
+
+
+def _kicked_toffoli(seed, between=False):
     """A Toffoli train with small rotations on random qubits, the ancilla
-    among them; two of ten have the ancilla moved to qubit 0."""
+    among them; two of ten have the ancilla moved to qubit 0, and with
+    between the train is relabelled to hold it on a drawn qubit strictly
+    between 0 and n."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
-    ancilla = 0 if seed >= 8 else n
+    ancilla = int(rng.integers(1, n)) if between else 0 if seed >= 8 else n
     qubits = (ancilla, *rng.integers(n + 1, size=2))
     kicks = [Gate(str(rng.choice(["RX", "RY", "RZ"])), q, rng.uniform(-0.1, 0.1)) for q in qubits]
-    circ = build_toffoli_circuit(n)
+    circ = _relabelled_toffoli(n, ancilla)[0] if between else build_toffoli_circuit(n)
     return Circuit(n + 1, circ.gates + tuple(kicks), 0, {ancilla}), "toffoli", n, {}
 
 
@@ -499,6 +511,9 @@ VERDICT_CASES = {
     "ci_toffoli9_leak": lambda: _ci_leak("toffoli"),
     **{f"random{seed}": (lambda seed=seed: _random_verdict_case(seed)) for seed in range(30)},
     **{f"toffoli_kicked{seed}": (lambda seed=seed: _kicked_toffoli(seed)) for seed in range(10)},
+    **{f"toffoli_kicked{seed}_ancilla_between": (lambda seed=seed: _kicked_toffoli(seed, between=True))
+       for seed in range(10)},
+    **{f"toffoli{n}_ancilla{a}": (lambda n=n, a=a: _relabelled_toffoli(n, a)) for n in (2, 4, 5) for a in range(n)},
 }
 
 
@@ -624,7 +639,7 @@ class TestVerifyCircuit:
              "toffoli_n1", "complex_alphas", "scalar_alphas", "short_alphas", "huge_n", "huge_toffoli_n"],
     )
     def test_bad_requests_raise_before_simulating(self, monkeypatch, kind, n, kwargs, match):
-        def refuse(circuit, keep=()):
+        def refuse(circuit, first=()):
             raise AssertionError("simulated a request it should have refused")
 
         monkeypatch.setattr(simulate, "_block_store", refuse)
