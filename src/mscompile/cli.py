@@ -1,4 +1,4 @@
-"""Command-line surface: compile, print angles, dump series, verify.
+"""Command-line surface: compile (verified before it is written), print angles, dump series, verify.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 synthesis failed,
 64 usage error, 141 stdout closed by its reader.
@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--merged", action="store_true", help="print the 2N+1 combined z-rotations instead")
     p.add_argument("--precision", type=_positive_int, default=12, help="significant digits (default 12)")
 
-    p = sub.add_parser("compile", help="compile a gate and write the circuit to a file")
+    p = sub.add_parser("compile", help="compile a gate, verify it and write the circuit to a file")
     p.add_argument("--kind", choices=("crot", "toffoli", "weighted"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=parse_angle, help="rotation angle (crot)")
@@ -139,6 +139,16 @@ def _need_angles(kind: str, args) -> None:
         raise ValueError(f"{kind} needs --{flag}")
 
 
+def _print_verdict(verdict: simulate.Verdict, kind: str, tolerance: float) -> int:
+    """The verdict lines of ``verify`` (and of a ``compile`` that fails them), and their exit code."""
+    if kind == "toffoli":
+        print(f"ancilla_leakage = {verdict.leakage:.3e}")
+    print(f"worst_block = {verdict.worst_block:.3e}")
+    word = "PASS" if verdict.passed else "FAIL"
+    print(f"phase_distance = {verdict.phase_distance:.6e}  tolerance = {tolerance:.1e}  {word}")
+    return 0 if verdict.passed else VERIFY_ERROR
+
+
 def cmd_compile(args) -> int:
     _need_angles(args.kind, args)
     if args.kind == "crot":
@@ -147,6 +157,9 @@ def cmd_compile(args) -> int:
         circ = build_toffoli_circuit(args.n)
     else:
         circ = build_crot_circuit(weighted_angles(args.n, args.alphas))
+    verdict = simulate.verify_circuit(circ, args.kind, args.n, args.alpha, args.alphas)
+    if not verdict.passed:  # nothing is written
+        return _print_verdict(verdict, args.kind, simulate.VERIFY_TOLERANCE)
     payload = serialize(circ) if args.format == "json" else to_text(circ).encode()
     with open(args.out, "wb") as fh:
         fh.write(payload)
@@ -163,12 +176,7 @@ def cmd_verify(args) -> int:
         print(f"error: cannot load circuit: {exc}", file=sys.stderr)
         return USAGE_ERROR
     verdict = simulate.verify_circuit(circ, args.target, args.n, args.alpha, args.alphas, args.tolerance)
-    if args.target == "toffoli":
-        print(f"ancilla_leakage = {verdict.leakage:.3e}")
-    print(f"worst_block = {verdict.worst_block:.3e}")
-    word = "PASS" if verdict.passed else "FAIL"
-    print(f"phase_distance = {verdict.phase_distance:.6e}  tolerance = {args.tolerance:.1e}  {word}")
-    return 0 if verdict.passed else VERIFY_ERROR
+    return _print_verdict(verdict, args.target, args.tolerance)
 
 
 def cmd_series(args) -> int:

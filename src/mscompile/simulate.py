@@ -38,7 +38,6 @@ costs O(N) instead of O(4^N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -54,28 +53,6 @@ _AXES = {RX: ("x", 1.0), RY: ("y", 1.0), RZ: ("z", 1.0)}
 _X_FRAME_AXES = {RX: ("z", 1.0), RY: ("y", -1.0), RZ: ("x", 1.0)}
 
 
-@lru_cache(maxsize=32)
-def _blocks(n: int, active: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fancy index (rows, cols) of every inactive pattern's block over the
-    active qubits, and each pattern's Hamming weight; cached and read-only.
-
-    ``u[rows, cols]`` has shape (2^(n-k), 2^k, 2^k) for k active qubits.
-    Entry [c, a, b] is the element whose row has inactive bits c and active
-    bits a, and whose column has inactive bits c and active bits b, each read
-    in ascending qubit order.  With one active qubit (the target) entry c is
-    the 2x2 block of control pattern c, the basis index with the target bit
-    squeezed out; its rows and columns have the target bit 0, then 1.
-    """
-    inactive = [q for q in range(n) if q not in active]
-    # axis i of the reshaped range is qubit n - 1 - i: inactive, then active, each highest first
-    axes = [n - 1 - q for q in reversed([*active, *inactive])]
-    idx = np.arange(2**n).reshape((2,) * n).transpose(axes).reshape(2 ** len(inactive), 2 ** len(active))
-    index = idx[:, :, None], idx[:, None, :], np.bitwise_count(np.arange(2 ** len(inactive)))
-    for a in index:
-        a.flags.writeable = False
-    return index
-
-
 def _refuse_dense(n: int) -> None:
     if n > MAX_UNITARY_QUBITS:
         raise ValueError(f"refusing to build a 2^{n} x 2^{n} unitary (limit {MAX_UNITARY_QUBITS})")
@@ -83,10 +60,22 @@ def _refuse_dense(n: int) -> None:
 
 def _scatter(by_weight: np.ndarray, n: int, active) -> np.ndarray:
     """Dense 2^n x 2^n matrix with by_weight[w], a 2^k x 2^k block over the active
-    qubits, at every inactive pattern of weight w."""
-    rows, cols, weight = _blocks(n, tuple(active))
+    qubits, at every inactive pattern of weight w.  Row c of the index holds
+    pattern c's basis indices over the active bits, each part read in ascending
+    qubit order; a weight's rows take its block by broadcasting."""
+    inactive = [q for q in range(n) if q not in active]
+    # axis i of the reshaped range is qubit n - 1 - i: inactive, then active, each highest first
+    axes = [n - 1 - q for q in reversed([*active, *inactive])]
+    index = np.arange(2**n).reshape((2,) * n).transpose(axes).reshape(2 ** len(inactive), 2 ** len(active))
+    # the patterns by weight, so that weight w's rows are the next comb(n - k, w)
+    index = index[np.argsort(np.bitwise_count(np.arange(len(index))), kind="stable")]
+    rows, cols = index[:, :, None], index[:, None, :]
     mat = np.zeros((2**n, 2**n), dtype=complex)
-    mat[rows, cols] = by_weight[weight]
+    start = 0
+    for w, block in enumerate(by_weight):
+        stop = start + comb(len(inactive), w)
+        mat[rows[start:stop], cols[start:stop]] = block
+        start = stop
     return mat
 
 

@@ -1,5 +1,7 @@
 """Shared test oracles, kept independent of the code paths they check."""
 
+from math import comb
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -162,6 +164,76 @@ def plan_from_merged(n: int, merged) -> CompilationPlan:
         phis.append(phis[-1] - mj)
     phis.append(m[0] - phis[-1])
     return CompilationPlan(n, *default_params(n), tuple(reversed(phis)))
+
+
+def _rotation(kind: str, angle: float) -> np.ndarray:
+    """exp(-i angle/2 sigma) for RX, RY or RZ, in closed form."""
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    return {
+        "RX": np.array([[c, -1j * s], [-1j * s, c]]),
+        "RY": np.array([[c, -s], [s, c]], dtype=complex),
+        "RZ": np.array([[c - 1j * s, 0.0], [0.0, c + 1j * s]]),
+    }[kind]
+
+
+def train_weight_blocks(gates, n: int, target: int) -> np.ndarray:
+    """The 2x2 on the target of a pulse train at each control weight q = 0..n-1.
+
+    Every control carries only H gates, an even number, and is flipped at
+    every pulse.  Inside that sandwich control bitstring c stays |c>, so
+    MS(tau) acts at weight q = popcount(c) as e^(-i tau (s^2 + 1)/4) Rx(tau s)
+    on the target, s = n - 1 - 2q.  The gate list is walked once, each gate
+    applied to the n weights' 2x2s at once.
+    """
+    spin = n - 1 - 2.0 * np.arange(n)
+    blocks = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
+    flipped = {q: False for q in range(n) if q != target}
+    for gate in gates:
+        if gate.kind == "MS":
+            assert all(flipped.values()), "a pulse outside the control sandwich"
+            half = 0.5 * gate.angle * spin
+            c, s = np.cos(half), np.sin(half)
+            step = np.stack([np.stack([c, -1j * s], -1), np.stack([-1j * s, c], -1)], -2)
+            blocks = np.exp(-0.25j * gate.angle * (spin**2 + 1.0))[:, None, None] * step @ blocks
+        elif gate.qubit == target:
+            blocks = (H2 if gate.kind == "H" else _rotation(gate.kind, gate.angle)) @ blocks
+        else:
+            assert gate.kind == "H", f"{gate.kind} on control {gate.qubit}"
+            flipped[gate.qubit] = not flipped[gate.qubit]
+    assert not any(flipped.values()), "the control sandwich is left open"
+    return blocks
+
+
+def oracle_verdict(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None) -> tuple[float, float, bool]:
+    """(worst_block, leakage, passed) of a compiled train at the library's 1e-6,
+    from ``train_weight_blocks`` alone.
+
+    crot and weighted judge the 2x2 at each control weight q against Rz(alpha)
+    at q = n - 1 (1 below it) or Rx(alphas[q]).  A Toffoli is H(0), a train on
+    the ancilla (qubit n) with qubits 0..n-1 as controls, H(0); with u_q that
+    train's 2x2 at weight q and the ancilla entering and leaving |0>, the
+    pattern of qubits 1..n-1 of weight w holds H diag(u_w[0,0], u_(w+1)[0,0]) H
+    on qubit 0 (X at w = n - 1, else 1), and its columns leave the ancilla
+    flipped with norm sqrt((|u_w[1,0]|^2 + |u_(w+1)[1,0]|^2) / 2).  The miss
+    of weight w is the operator norm of its block less e^(i phi) times the
+    ideal, phi the phase of the trace, each weight counted C(m, w) times.
+    """
+    leakage = 0.0
+    if kind == "toffoli":
+        assert circuit.gates[0] == circuit.gates[-1] and circuit.gates[0].kind == "H" and circuit.gates[0].qubit == 0
+        u = train_weight_blocks(circuit.gates[1:-1], n + 1, target=n)
+        blocks = [H2 @ np.diag([u[w, 0, 0], u[w + 1, 0, 0]]) @ H2 for w in range(n)]
+        ideal = [np.eye(2)] * (n - 1) + [X2]
+        leak = np.abs(u[:, 1, 0]) ** 2
+        leakage = float(np.sqrt(np.max(leak[:-1] + leak[1:]) / 2.0))
+    else:
+        blocks = train_weight_blocks(circuit.gates, n, circuit.target_qubit)
+        ideal = crot_targets(n, alpha) if kind == "crot" else weighted_targets(alphas)
+    m = len(blocks) - 1
+    trace = sum(comb(m, w) / 2**m * np.trace(v.conj().T @ u) for w, (u, v) in enumerate(zip(blocks, ideal)))
+    phase = np.exp(1j * np.angle(trace))
+    worst = max(np.linalg.norm(u - phase * v, 2) for u, v in zip(blocks, ideal))
+    return float(worst), leakage, bool(worst <= 1e-6 and leakage <= 1e-6)
 
 
 def pattern_indices(n: int, target: int = 0) -> np.ndarray:

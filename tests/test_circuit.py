@@ -214,6 +214,11 @@ class TestSerialization:
             '{"version": 1, "num_qubits": 0, "gates": []}',
             '{"version": 1, "num_qubits": 2, "gates": [{"type": "H", "qubit": 0, "angle": 0.5}]}',
             '{"version": 1, "num_qubits": 2, "gates": [{"type": "MS", "qubit": 0, "tau": 0.5}]}',
+            "[1, 2]",
+            '{"version": 1, "gates": []}',
+            '{"version": 1, "num_qubits": 2}',
+            '{"version": 1, "num_qubits": 2, "gates": [{"qubit": 0, "angle": 0.3}]}',
+            '{"version": 1, "num_qubits": 2, "gates": [["RX", 0, 0.3]]}',
         ],
         ids=[
             "gates_int",
@@ -235,6 +240,11 @@ class TestSerialization:
             "num_qubits_zero",
             "h_with_angle",
             "ms_with_qubit",
+            "top_level_list",
+            "no_num_qubits",
+            "no_gates",
+            "gate_without_type",
+            "gate_not_an_object",
         ],
     )
     def test_malformed_fields(self, text):
@@ -266,6 +276,10 @@ def test_gate_validation():
         Gate("CNOT", qubit=0, angle=0.1)
     with pytest.raises(QubitIndexError):
         Circuit(2, (Gate.h(3),))
+    with pytest.raises(QubitIndexError, match="target qubit 2 out of range"):
+        Circuit(2, (), target_qubit=2)
+    with pytest.raises(QubitIndexError, match="ancilla qubit -1 out of range"):
+        Circuit(2, (), ancilla_qubits={-1})
 
 
 @pytest.mark.parametrize(

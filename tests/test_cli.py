@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +92,7 @@ class TestCompileVerify:
     def test_crot_compile_and_verify(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         assert main(["compile", "--kind", "crot", "--n", "4", "--alpha", "pi/2", "--out", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "8 MS gates" in out
+        assert capsys.readouterr().out == f"wrote {path}: 4 qubits, 8 MS gates\n"
         circ = deserialize(path.read_bytes())
         assert circ.ms_count() == 8
         assert main(["verify", "--circuit", str(path), "--target", "crot", "--n", "4", "--alpha", "pi/2"]) == 0
@@ -115,6 +115,32 @@ class TestCompileVerify:
         assert main(["compile", "--kind", "crot", "--n", "2", "--alpha", "pi", "--out", str(path), "--format", "text"]) == 0
         first = path.read_text().splitlines()[0].split()
         assert first[0] in ("h", "rz", "rx", "ms")
+
+    @pytest.mark.parametrize(
+        "kind, angles", [("crot", ["--alpha", "pi/3"]), ("weighted", ["--alphas", "0.4,-1.1,2pi/3,-pi/5"])],
+        ids=["crot", "weighted"],
+    )
+    def test_a_compile_that_fails_its_verdict_writes_nothing(self, tmp_path, monkeypatch, capsys, kind, angles):
+        # phi_1 moved by 1e-3 after synthesis: compile verifies what it built, so it
+        # prints the verdict verify prints for that circuit, writes no file and exits 1
+        name = f"{kind}_angles"
+        real = getattr(mscompile.cli, name)
+        built = []
+
+        def nudged(*args):
+            plan = real(*args)
+            built.append(replace(plan, phis=(plan.phis[0], plan.phis[1] + 1e-3, *plan.phis[2:])))
+            return built[-1]
+
+        monkeypatch.setattr(mscompile.cli, name, nudged)
+        path = tmp_path / "c.json"
+        assert main(["compile", "--kind", kind, "--n", "4", *angles, "--out", str(path)]) == 1
+        assert not path.exists()
+        out = capsys.readouterr().out
+        assert "FAIL" in out
+        path.write_bytes(serialize(build_crot_circuit(built[0])))
+        assert main(["verify", "--circuit", str(path), "--target", kind, "--n", "4", *angles]) == 1
+        assert capsys.readouterr().out == out
 
     def test_verification_failure_exit_code(self, tmp_path, capsys):
         path = tmp_path / "id.json"

@@ -76,6 +76,20 @@ def test_odd_series_rejects_constant_term():
         TrigSeries(ODD, (0.3, 1.0))
 
 
+def test_series_rejects_a_bad_parity_or_no_coefficients():
+    with pytest.raises(ParityError, match="parity must be"):
+        TrigSeries("cos", (1.0,))
+    with pytest.raises(ValueError, match="at least one entry"):
+        TrigSeries(EVEN, ())
+
+
+def test_padding_never_lowers_the_degree():
+    s = TrigSeries(ODD, (0.0, 1.0, 0.5))
+    assert s.padded(4).coeffs == (0.0, 1.0, 0.5, 0.0, 0.0) and s.padded(2) == s
+    with pytest.raises(ValueError, match="cannot pad degree 2 down to 1"):
+        s.padded(1)
+
+
 def test_to_laurent_even():
     p = to_laurent(TrigSeries(EVEN, (0.0, 1.0)))
     np.testing.assert_allclose(p, [0.5, 0.0, 0.5], atol=1e-15)  # z^-1, z^0, z^1

@@ -1,9 +1,19 @@
 import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from _helpers import column_pair_miss, dense_ms, embed, off_block_max, pattern_indices, slow_unitary, target_blocks
+from _helpers import (
+    column_pair_miss,
+    dense_ms,
+    embed,
+    off_block_max,
+    oracle_verdict,
+    pattern_indices,
+    slow_unitary,
+    target_blocks,
+)
 
 from mscompile import (
     Circuit,
@@ -164,6 +174,20 @@ class TestCircuitUnitary:
         np.testing.assert_allclose(circuit_unitary(circ), slow_unitary(circ), atol=1e-12)
         # column convention: column j is the circuit applied to |j>
         np.testing.assert_allclose(circuit_unitary(circ)[:, 5], _gate_by_gate(circ, 5), atol=1e-12)
+
+    def test_all_active_peak_is_the_store_and_the_matrix(self):
+        # every qubit active: the store holds one dense-sized block, and the scatter
+        # writes it into the matrix with no third copy of that size
+        n = 11
+        gates = tuple(Gate.rx(q, 0.3 + 0.1 * q) for q in range(n)) + (Gate.ms(0.7),)
+        circ = Circuit(n, gates + tuple(Gate.ry(q, 0.2 - 0.05 * q) for q in range(n)))
+        tracemalloc.start()
+        try:
+            u = circuit_unitary(circ)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * u.nbytes
 
     def test_size_guard(self):
         # a 14-qubit unitary is 4 GiB, and a store of 13 active qubits at N = 20 holds 8 * 4^13
@@ -356,6 +380,10 @@ class TestPhaseDistance:
         v[2, 2] = np.nan
         assert np.isnan(phase_distance(u, v))
         assert not phase_distance(u, v) <= 1e-6
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            phase_distance(np.eye(4, dtype=complex), np.eye(8, dtype=complex))
 
     def test_equal(self):
         u = circuit_unitary(Circuit(2, (Gate.h(0), Gate.ms(0.3))))
@@ -645,6 +673,45 @@ class TestVerifyCircuit:
         monkeypatch.setattr(simulate, "_block_store", refuse)
         with pytest.raises(ValueError, match=match):
             verify_circuit(build_crot_circuit(crot_angles(3, 0.3)), kind, n, **kwargs)
+
+
+@lru_cache(maxsize=None)
+def _train(kind, n):
+    """A compiled train and its request: crot at alpha = 1.1, weighted on an even spread of angles."""
+    if kind == "toffoli":
+        return build_toffoli_circuit(n), {}
+    if kind == "crot":
+        return build_crot_circuit(crot_angles(n, 1.1), target=n // 2), {"alpha": 1.1}
+    alphas = tuple(np.linspace(-3.0, 2.9, n))
+    return build_crot_circuit(weighted_angles(n, alphas)), {"alphas": alphas}
+
+
+ORACLE_CASES = [("crot", n) for n in [*range(2, 17), 64, 256]]
+ORACLE_CASES += [("toffoli", n) for n in [*range(2, 13), 255]]
+ORACLE_CASES += [("weighted", n) for n in [*range(2, 9), 32, 128]]
+
+
+@pytest.mark.parametrize("wrong", [False, True], ids=["compiled", "wrong_angle"])
+@pytest.mark.parametrize("kind, n", ORACLE_CASES, ids=[f"{kind}{n}" for kind, n in ORACLE_CASES])
+def test_verdict_matches_the_weight_walk_oracle(kind, n, wrong):
+    # the oracle walks the gate list as one 2x2 per control weight and imports nothing
+    # from simulate; a wrong angle is alpha + 0.05, the last alpha + 0.05, or for a
+    # Toffoli a train RZ moved by 1e-3, which also leaves the ancilla flipped
+    circ, args = _train(kind, n)
+    if wrong and kind == "toffoli":
+        j = next(j for j, g in enumerate(circ.gates) if j > len(circ.gates) // 2 and g.kind == "RZ")
+        gates = list(circ.gates)
+        gates[j] = replace(gates[j], angle=gates[j].angle + 1e-3)
+        circ = replace(circ, gates=tuple(gates))
+    elif wrong and kind == "crot":
+        args = {"alpha": args["alpha"] + 0.05}
+    elif wrong:
+        args = {"alphas": (*args["alphas"][:-1], args["alphas"][-1] + 0.05)}
+    verdict = verify_circuit(circ, kind, n, **args)
+    worst, leakage, passed = oracle_verdict(circ, kind, n, **args)
+    assert verdict.passed == passed == (not wrong)
+    assert verdict.leakage == pytest.approx(leakage, abs=1e-12)
+    assert verdict.worst_block == pytest.approx(worst, rel=1e-9, abs=1e-10)
 
 
 class TestBlockStructure:

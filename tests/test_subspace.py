@@ -66,3 +66,5 @@ def test_phase_reset():
     assert phase_reset_ok(6, np.pi / 3)
     assert not phase_reset_ok(4, np.pi / 3)
     assert phase_reset_ok(20, np.pi / 5)
+    with pytest.raises(ValueError, match="non-negative"):
+        phase_reset_ok(-6, np.pi / 3)

@@ -119,6 +119,11 @@ class TestComplete:
         with pytest.raises(CompletionError, match="nan"):
             weighted_angles(3, [0.4, np.nan, 1.1])
 
+    @pytest.mark.parametrize("sign", [0, 2, -0.5])
+    def test_d_sign_must_be_plus_or_minus_one(self, sign):
+        with pytest.raises(ValueError, match="d_sign_at_pi must be"):
+            synthesis.complete(np.zeros(9), np.array([]), 2, sign)
+
     def test_random_admissible_normalized(self):
         rng = np.random.default_rng(13)
         for trial in range(25):
@@ -154,6 +159,12 @@ class TestExtractAngles:
         z = TrigSeries.zero
         with pytest.raises(ExtractionError, match="nan"):
             extract_angles(a, z("odd", 1), z("odd", 1), z("even", 1))
+
+    def test_series_in_the_wrong_roles_are_refused(self):
+        a, b, c, d = _crot_quadruple(3, 1.1)
+        for quad in ((b, a, c, d), (a, b, d, c), (a, d, c, b)):
+            with pytest.raises(ValueError, match="expected a (even|odd) series"):
+                extract_angles(*quad)
 
     def test_crot_n3_length_before_padding(self):
         phis = extract_angles(*_crot_quadruple(3, np.pi))
