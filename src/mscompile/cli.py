@@ -139,10 +139,8 @@ def _need_angles(kind: str, args) -> None:
         raise ValueError(f"{kind} needs --{flag}")
 
 
-def _print_verdict(verdict: simulate.Verdict, kind: str, tolerance: float) -> int:
+def _print_verdict(verdict: simulate.Verdict, tolerance: float) -> int:
     """The verdict lines of ``verify`` (and of a ``compile`` that fails them), and their exit code."""
-    if kind == "toffoli":
-        print(f"ancilla_leakage = {verdict.leakage:.3e}")
     print(f"worst_block = {verdict.worst_block:.3e}")
     word = "PASS" if verdict.passed else "FAIL"
     print(f"phase_distance = {verdict.phase_distance:.6e}  tolerance = {tolerance:.1e}  {word}")
@@ -159,7 +157,7 @@ def cmd_compile(args) -> int:
         circ = build_crot_circuit(weighted_angles(args.n, args.alphas))
     verdict = simulate.verify_circuit(circ, args.kind, args.n, args.alpha, args.alphas)
     if not verdict.passed:  # nothing is written
-        return _print_verdict(verdict, args.kind, simulate.VERIFY_TOLERANCE)
+        return _print_verdict(verdict, simulate.VERIFY_TOLERANCE)
     payload = serialize(circ) if args.format == "json" else to_text(circ).encode()
     with open(args.out, "wb") as fh:
         fh.write(payload)
@@ -176,7 +174,7 @@ def cmd_verify(args) -> int:
         print(f"error: cannot load circuit: {exc}", file=sys.stderr)
         return USAGE_ERROR
     verdict = simulate.verify_circuit(circ, args.target, args.n, args.alpha, args.alphas, args.tolerance)
-    return _print_verdict(verdict, args.target, args.tolerance)
+    return _print_verdict(verdict, args.tolerance)
 
 
 def cmd_series(args) -> int:

@@ -29,10 +29,10 @@ same block.  The executor holds one per weight (the block store), applies
 each 2x2 as one matmul across all of them and each pulse as a phase per
 block row.  ``circuit_unitary`` scatters the store into the dense matrix;
 ``verify_circuit`` judges the store itself, on one path for every kind: the
-target, then a Toffoli's ancilla, sit on its lowest bits, and the slice that
-flips the ancilla is the leakage.  A pulse train leaves only its target
-active (k = 1; a Toffoli train, qubit 0 and the ancilla), so an operation
-costs O(N) instead of O(4^N).
+target, then a Toffoli's ancilla, sit on its lowest bits, and the ancilla,
+borrowed in any state, is one more bit of the control pattern.  A pulse
+train leaves only its target active (k = 1; a Toffoli train, qubit 0 and
+the ancilla), so an operation costs O(N) instead of O(4^N).
 """
 
 from __future__ import annotations
@@ -272,7 +272,6 @@ class Verdict:
     """What ``verify_circuit`` measured, and whether the circuit passed."""
 
     worst_block: float
-    leakage: float  # of the Toffoli ancilla; 0.0 for the other kinds
     phase_distance: float
     passed: bool
 
@@ -281,25 +280,25 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
     """Simulate circuit and judge it against the ideal gate of kind on n qubits.
 
     kind is "crot" (needs alpha), "toffoli" (n logical qubits plus one
-    ancilla, projected onto the ancilla entering and leaving |0>) or
-    "weighted" (needs alphas).  With V the ideal, one 2x2 on the target per
-    control pattern, ``worst_block`` is the largest operator norm of a
-    pattern's two columns of U - e^(i*phi) V over every row, phi = arg
-    tr(V^dag U): a miss in its own block and amplitude leaked to another
+    ancilla, judged as Toffoli x 1: the train works on a borrowed ancilla in
+    any state) or "weighted" (needs alphas).  With V the ideal, one 2x2 on
+    the target per control pattern, ``worst_block`` is the largest operator
+    norm of a pattern's two columns of U - e^(i*phi) V over every row, phi =
+    arg tr(V^dag U): a miss in its own block and amplitude leaked to another
     pattern count at first order, and for unitary V it bounds
-    ``phase_distance``, 1 - |tr(V^dag U)| / 2^n, which is reported, not
-    judged.  All three come from ``_block_store`` with the target, then the
-    ancilla, on its lowest bits, seen as (r, ancilla, target) on rows and
-    columns: the leakage from the slice that flips the ancilla, the rest
-    where it stays |0>.  The trace weighs inactive weight w by its exact
-    share of the patterns, so no qubit count overflows.  No dense U or V is
-    built; a store over 4^13 entries raises ValueError.  The circuit passes
-    iff ``worst_block`` and the leakage are both at most tolerance; a NaN
-    passes nothing.  Every request error is a ValueError raised before
-    anything is built or simulated: (kind, n, alpha, alphas) by
-    ``_read_request``, the rules of the dense ``ideal_*`` and the synthesis
-    entry points, then a tolerance not a finite real number >= 0, then a
-    circuit of the wrong size.
+    ``phase_distance``, 1 - |tr(V^dag U)| / dim, which is reported, not
+    judged.  Both come from ``_block_store`` with the target, then the
+    ancilla, on its lowest bits, seen as (r, target) on rows and columns:
+    the ancilla is bit 0 of r, and left out of the control weight, so
+    amplitude that flips it leaves its pattern.  The trace weighs inactive
+    weight w by its exact share of the patterns, so no qubit count
+    overflows.  No dense U or V is built; a store over 4^13 entries raises
+    ValueError.  The circuit passes iff ``worst_block`` is at most
+    tolerance; a NaN passes nothing.  Every request error is a ValueError
+    raised before anything is built or simulated: (kind, n, alpha, alphas)
+    by ``_read_request``, the rules of the dense ``ideal_*`` and the
+    synthesis entry points, then a tolerance not a finite real number >= 0,
+    then a circuit of the wrong size.
     """
     n, angles = _read_request(kind, n, alpha, alphas)
     if not 0.0 <= _real(tolerance, "tolerance") < np.inf:
@@ -314,14 +313,11 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
     first = ((int(0 in circuit.ancilla_qubits), *circuit.ancilla_qubits) if kind == "toffoli"
              else (circuit.target_qubit,))
     store, _ = _block_store(circuit, first)
-    # rows and columns as (other active bits r, ancilla bit, target bit); the ancilla axis has size 1 but for toffoli
-    r, a = len(store) >> len(first), len(first)
-    split = store.reshape(r, a, 2, -1, r, a, 2)
-    leak = split[:, 1:, :, :, :, 0, :]  # enters with the ancilla |0>, leaves with it |1>: empty but for toffoli
-    leakage = float(np.sqrt(np.max(np.sum(leak.real**2 + leak.imag**2, axis=(0, 1, 2)))))
-    block = split[:, 0, :, :, :, 0, :]  # (r, target, w, r, target), a view
+    # rows and columns as (other active bits r, target bit); a Toffoli's ancilla is bit 0 of r, and no control
+    r = len(store) >> 1
+    block = store.reshape(r, 2, -1, r, 2)  # (r, target, w, r, target), a view
     m = block.shape[2] - 1  # inactive qubits
-    weight = np.arange(m + 1)[:, None] + np.bitwise_count(np.arange(r))  # control pattern (w, r): w + |r|
+    weight = np.arange(m + 1)[:, None] + np.bitwise_count(np.arange(r) >> (len(first) - 1))  # pattern (w, r)
     ideal = _ideal_blocks(kind, n, angles)[weight]  # built only once the circuit fits
     own = np.einsum("riwrj->wrij", block)  # each pattern's own target block, a view
     # weight w's share C(m, w) / 2^m of the m inactive qubits' patterns: int / int is correctly rounded at any m
@@ -332,5 +328,4 @@ def verify_circuit(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None,
     # ideal, and the amplitude leaked to the other patterns
     gram = sum(row.conj()[..., :, None] * row[..., None, :] for rows in block for row in rows)
     block_miss = float(np.sqrt(np.max(norm_2x2(gram))))
-    passed = block_miss <= tolerance and leakage <= tolerance
-    return Verdict(block_miss, leakage, float(np.maximum(0.0, 1.0 - abs(trace) / (2 * r))), passed)
+    return Verdict(block_miss, float(np.maximum(0.0, 1.0 - abs(trace) / (2 * r))), block_miss <= tolerance)

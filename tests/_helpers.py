@@ -3,7 +3,7 @@
 from math import comb
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from mscompile import EVEN, ODD, Circuit, CompilationPlan, TrigSeries, compute_thetas, default_params, evaluate_plan
 from mscompile.series import to_laurent
@@ -204,36 +204,37 @@ def train_weight_blocks(gates, n: int, target: int) -> np.ndarray:
     return blocks
 
 
-def oracle_verdict(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None) -> tuple[float, float, bool]:
-    """(worst_block, leakage, passed) of a compiled train at the library's 1e-6,
-    from ``train_weight_blocks`` alone.
+def oracle_verdict(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None) -> tuple[float, bool]:
+    """(worst_block, passed) of a compiled train at the library's 1e-6, from
+    ``train_weight_blocks`` alone.
 
     crot and weighted judge the 2x2 at each control weight q against Rz(alpha)
     at q = n - 1 (1 below it) or Rx(alphas[q]).  A Toffoli is H(0), a train on
     the ancilla (qubit n) with qubits 0..n-1 as controls, H(0); with u_q that
-    train's 2x2 at weight q and the ancilla entering and leaving |0>, the
-    pattern of qubits 1..n-1 of weight w holds H diag(u_w[0,0], u_(w+1)[0,0]) H
-    on qubit 0 (X at w = n - 1, else 1), and its columns leave the ancilla
-    flipped with norm sqrt((|u_w[1,0]|^2 + |u_(w+1)[1,0]|^2) / 2).  The miss
-    of weight w is the operator norm of its block less e^(i phi) times the
-    ideal, phi the phase of the trace, each weight counted C(m, w) times.
+    train's 2x2 at weight q, the pattern of qubits 1..n-1 of weight w holds
+    H(0) diag(u_w, u_(w+1)) H(0) on (qubit 0, ancilla), judged against
+    (X at w = n - 1, else 1) on qubit 0 times 1 on the ancilla: pattern (w, b)
+    is its two columns with the ancilla entering |b>, so amplitude that flips
+    the ancilla counts as a miss.  The miss of a pattern is the operator norm
+    of its columns less e^(i phi) times the ideal's, phi the phase of the
+    trace, each weight counted C(m, w) times.
     """
-    leakage = 0.0
     if kind == "toffoli":
         assert circuit.gates[0] == circuit.gates[-1] and circuit.gates[0].kind == "H" and circuit.gates[0].qubit == 0
         u = train_weight_blocks(circuit.gates[1:-1], n + 1, target=n)
-        blocks = [H2 @ np.diag([u[w, 0, 0], u[w + 1, 0, 0]]) @ H2 for w in range(n)]
-        ideal = [np.eye(2)] * (n - 1) + [X2]
-        leak = np.abs(u[:, 1, 0]) ** 2
-        leakage = float(np.sqrt(np.max(leak[:-1] + leak[1:]) / 2.0))
+        h = np.kron(H2, np.eye(2))  # index 2 * (qubit 0) + ancilla
+        blocks = [h @ block_diag(u[w], u[w + 1]) @ h for w in range(n)]
+        ideal = [np.kron(v, np.eye(2)) for v in [np.eye(2)] * (n - 1) + [X2]]
+        columns = [[0, 2], [1, 3]]  # the ancilla entering |0>, then |1>
     else:
         blocks = train_weight_blocks(circuit.gates, n, circuit.target_qubit)
         ideal = crot_targets(n, alpha) if kind == "crot" else weighted_targets(alphas)
+        columns = [[0, 1]]
     m = len(blocks) - 1
     trace = sum(comb(m, w) / 2**m * np.trace(v.conj().T @ u) for w, (u, v) in enumerate(zip(blocks, ideal)))
     phase = np.exp(1j * np.angle(trace))
-    worst = max(np.linalg.norm(u - phase * v, 2) for u, v in zip(blocks, ideal))
-    return float(worst), leakage, bool(worst <= 1e-6 and leakage <= 1e-6)
+    worst = max(np.linalg.norm((u - phase * v)[:, cols], 2) for u, v in zip(blocks, ideal) for cols in columns)
+    return float(worst), bool(worst <= 1e-6)
 
 
 def pattern_indices(n: int, target: int = 0) -> np.ndarray:

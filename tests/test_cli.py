@@ -214,30 +214,36 @@ class TestCompileVerify:
         assert "worst_block = 2.500e-02" in out and "FAIL" in out
 
     @pytest.mark.parametrize(
-        "compile_args, verify_args, where, line",
+        "compile_args, verify_args, where, kick, line",
         [
             # RX(1e-3) on control qubit 3 before the train moves amplitude
             # 5e-4 between control patterns; phase_distance and the 2x2
             # block miss are second order in it (1.25e-7)
             (["--kind", "crot", "--n", "10", "--alpha", "pi/3"], ["--target", "crot", "--n", "10", "--alpha", "pi/3"],
-             "first", "worst_block = 5.000e-04"),
-            # RX(1e-3) on the ancilla after the train leaves it flipped with amplitude 5e-4
-            (["--kind", "toffoli", "--n", "9"], ["--target", "toffoli", "--n", "9"], "last", "ancilla_leakage = 5.000e-04"),
+             "first", ("RX", 1e-3), "worst_block = 5.000e-04"),
+            # RX(1e-3) on the ancilla after the train flips it with amplitude 5e-4,
+            # which the pattern's columns with the ancilla entering either state miss by
+            (["--kind", "toffoli", "--n", "9"], ["--target", "toffoli", "--n", "9"], "last", ("RX", 1e-3),
+             "worst_block = 5.000e-04"),
+            # RZ(0.1) on the ancilla after the train flips nothing, but phases the
+            # ancilla's two states apart: against Toffoli x 1 each column misses by 2 sin(0.025)
+            (["--kind", "toffoli", "--n", "4"], ["--target", "toffoli", "--n", "4"], "last", ("RZ", 0.1),
+             "worst_block = 4.999e-02"),
         ],
-        ids=["crot_control_leak", "toffoli_ancilla_leak"],
+        ids=["crot_control_leak", "toffoli_ancilla_leak", "toffoli_ancilla_rz"],
     )
-    def test_leaked_amplitude_fails(self, tmp_path, capsys, compile_args, verify_args, where, line):
+    def test_leaked_amplitude_fails(self, tmp_path, capsys, compile_args, verify_args, where, kick, line):
         path = tmp_path / "c.json"
         assert main(["compile", *compile_args, "--out", str(path)]) == 0
         circ = deserialize(path.read_bytes())
         qubit = next(iter(circ.ancilla_qubits)) if circ.ancilla_qubits else 3
-        leak = (Gate.rx(qubit, 1e-3),)
+        leak = (Gate(kick[0], qubit, kick[1]),)
         gates = leak + circ.gates if where == "first" else circ.gates + leak
         path.write_bytes(serialize(Circuit(circ.num_qubits, gates, circ.target_qubit, circ.ancilla_qubits)))
         capsys.readouterr()
         assert main(["verify", "--circuit", str(path), *verify_args]) == 1
         out = capsys.readouterr().out
-        assert line in out and "FAIL" in out
+        assert line in out and "FAIL" in out and "ancilla" not in out
 
     def test_14_qubit_circuit_is_refused(self, tmp_path, capsys):
         # an RX on every qubit makes all 14 active: a block store of 4^14 entries, over the 4^13 limit
