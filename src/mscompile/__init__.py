@@ -34,15 +34,7 @@ from .circuit import (
     serialize,
     to_text,
 )
-from .simulate import (
-    circuit_unitary,
-    ideal_crot,
-    ideal_toffoli,
-    ideal_weighted,
-    phase_distance,
-    project_ancilla,
-    verify_circuit,
-)
+from .simulate import verify_circuit
 
 __version__ = "0.1.0"
 
@@ -79,11 +71,5 @@ __all__ = [
     "plan_merged_angles",
     "serialize",
     "to_text",
-    "circuit_unitary",
-    "ideal_crot",
-    "ideal_toffoli",
-    "ideal_weighted",
-    "phase_distance",
-    "project_ancilla",
     "verify_circuit",
 ]

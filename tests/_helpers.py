@@ -1,11 +1,23 @@
-"""Shared test oracles, kept independent of the code paths they check."""
+"""Shared test oracles, kept independent of the code paths they check, and
+``checked_verdict``, which holds ``verify_circuit`` to one of them."""
 
+from functools import reduce
 from math import comb
 
 import numpy as np
 from scipy.linalg import block_diag, expm
 
-from mscompile import EVEN, ODD, Circuit, CompilationPlan, TrigSeries, compute_thetas, default_params, evaluate_plan
+from mscompile import (
+    EVEN,
+    ODD,
+    Circuit,
+    CompilationPlan,
+    TrigSeries,
+    compute_thetas,
+    default_params,
+    evaluate_plan,
+    verify_circuit,
+)
 from mscompile.series import to_laurent
 from mscompile.su2 import canonical_angle
 
@@ -32,7 +44,8 @@ def dense_ms(n: int, tau: float) -> np.ndarray:
 
 
 def slow_unitary(circuit: Circuit) -> np.ndarray:
-    """Reference simulator: dense kron embeddings, no fast paths."""
+    """Reference simulator: dense kron embeddings, no fast paths; each
+    distinct pulse is exponentiated once per circuit."""
 
     def rot(axis, angle):
         paulis = {
@@ -44,15 +57,43 @@ def slow_unitary(circuit: Circuit) -> np.ndarray:
 
     n = circuit.num_qubits
     u = np.eye(2**n, dtype=complex)
+    pulses = {}
     for gate in circuit.gates:
         if gate.kind == "MS":
-            g = dense_ms(n, gate.angle)
+            if gate.angle not in pulses:
+                pulses[gate.angle] = dense_ms(n, gate.angle)
+            g = pulses[gate.angle]
         elif gate.kind == "H":
             g = embed(n, H2, gate.qubit)
         else:
             g = embed(n, rot(gate.kind, gate.angle), gate.qubit)
         u = g @ u
     return u
+
+
+def axis_unitary(circuit: Circuit) -> np.ndarray:
+    """Reference simulator past slow_unitary's reach, one row axis per gate.
+
+    It holds W = H^N U, the unitary seen in the X basis of every qubit:
+    W starts as H^N, a pulse multiplies row m of W by exp(-i tau (N - 2|m|)^2 / 4),
+    since (sum_j X_j)^2 is diagonal there, and a gate g on qubit q multiplies
+    W by H g H on q's row axis.  U is H^N W at the end.
+    """
+    n = circuit.num_qubits
+    spin_sq = (n - 2.0 * np.bitwise_count(np.arange(2**n))) ** 2
+
+    def on(u2, q, w):
+        return np.matmul(u2, w.reshape(-1, 2, 2**q * 2**n)).reshape(w.shape)
+
+    w = reduce(np.kron, [H2] * n)
+    for gate in circuit.gates:
+        if gate.kind == "MS":
+            w *= np.exp(-0.25j * gate.angle * spin_sq)[:, None]
+        else:
+            w = on(H2 @ (H2 if gate.kind == "H" else _rotation(gate.kind, gate.angle)) @ H2, gate.qubit, w)
+    for q in range(n):
+        w = on(H2, q, w)
+    return w
 
 
 def pauli_components(u: np.ndarray) -> tuple[complex, complex, complex, complex]:
@@ -204,9 +245,9 @@ def train_weight_blocks(gates, n: int, target: int) -> np.ndarray:
     return blocks
 
 
-def oracle_verdict(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None) -> tuple[float, bool]:
-    """(worst_block, passed) of a compiled train at the library's 1e-6, from
-    ``train_weight_blocks`` alone.
+def oracle_verdict(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None) -> tuple[float, float, bool]:
+    """(worst_block, phase_distance, passed) of a compiled train at the
+    library's 1e-6, from ``train_weight_blocks`` alone.
 
     crot and weighted judge the 2x2 at each control weight q against Rz(alpha)
     at q = n - 1 (1 below it) or Rx(alphas[q]).  A Toffoli is H(0), a train on
@@ -217,7 +258,8 @@ def oracle_verdict(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None)
     is its two columns with the ancilla entering |b>, so amplitude that flips
     the ancilla counts as a miss.  The miss of a pattern is the operator norm
     of its columns less e^(i phi) times the ideal's, phi the phase of the
-    trace, each weight counted C(m, w) times.
+    trace, each weight counted C(m, w) times; phase_distance is 1 less the
+    trace's modulus over the block size.
     """
     if kind == "toffoli":
         assert circuit.gates[0] == circuit.gates[-1] and circuit.gates[0].kind == "H" and circuit.gates[0].qubit == 0
@@ -234,36 +276,57 @@ def oracle_verdict(circuit: Circuit, kind: str, n: int, alpha=None, alphas=None)
     trace = sum(comb(m, w) / 2**m * np.trace(v.conj().T @ u) for w, (u, v) in enumerate(zip(blocks, ideal)))
     phase = np.exp(1j * np.angle(trace))
     worst = max(np.linalg.norm((u - phase * v)[:, cols], 2) for u, v in zip(blocks, ideal) for cols in columns)
-    return float(worst), bool(worst <= 1e-6)
+    return float(worst), float(max(0.0, 1.0 - abs(trace) / len(blocks[0]))), bool(worst <= 1e-6)
 
 
-def pattern_indices(n: int, target: int = 0) -> np.ndarray:
-    """Basis indices of each control pattern c, shape (2^(n-1), 2): the
-    pattern's bits with the target bit inserted, as 0 and then as 1."""
-    c = np.arange(2 ** (n - 1))[:, None]
-    low = c & ((1 << target) - 1)
-    return ((c >> target) << (target + 1)) | (np.arange(2) << target) | low
+def pattern_indices(n: int, active=(0,)) -> np.ndarray:
+    """Basis indices of each pattern c of the inactive qubits, shape
+    (2^(n-k), 2^k) for the k active qubits: bit i of c sits on the i-th
+    inactive qubit, ascending, and bit p of column a on qubit active[p]."""
+
+    def spread(x, qubits):
+        return sum((((x >> i) & 1) << q for i, q in enumerate(qubits)), np.zeros_like(x))
+
+    inactive = [q for q in range(n) if q not in active]
+    return spread(np.arange(2 ** len(inactive)), inactive)[:, None] | spread(np.arange(2 ** len(active)), active)
 
 
-def target_blocks(u: np.ndarray, target: int = 0) -> np.ndarray:
-    """The 2x2 target block of every control pattern, in pattern order."""
-    idx = pattern_indices(u.shape[0].bit_length() - 1, target)
-    return u[idx[:, :, None], idx[:, None, :]]
+def dense_verdict(u: np.ndarray, circuit: Circuit, kind: str, n: int, alpha=None, alphas=None) -> tuple[float, float, bool]:
+    """(worst_block, phase_distance, passed) of circuit's dense unitary u at 1e-6.
+
+    The ideal V is written out pattern by pattern: every pattern of the
+    qubits but the target holds the target 2x2 of its control weight, and a
+    Toffoli's ancilla counts toward no weight, so V is Toffoli x 1 with its
+    target the lowest qubit but the ancilla.  worst_block is the largest
+    2-norm of a pattern's two columns of U - e^(i phi) V, phi = arg tr(V^dag U),
+    and phase_distance is 1 - |tr(V^dag U)| / 2^N.
+    """
+    if kind == "toffoli":
+        (ancilla,) = circuit.ancilla_qubits
+        target, ideal = int(ancilla == 0), [np.eye(2)] * (n - 1) + [X2]
+    else:
+        ancilla, target = None, circuit.target_qubit
+        ideal = crot_targets(n, alpha) if kind == "crot" else weighted_targets(alphas)
+    idx = pattern_indices(circuit.num_qubits, (target,))
+    others = [q for q in range(circuit.num_qubits) if q != target]  # bit i of a pattern is qubit others[i]
+    controls = [i for i, q in enumerate(others) if q != ancilla]
+    v = np.zeros_like(u)
+    v[idx[:, :, None], idx[:, None, :]] = [ideal[sum(c >> i & 1 for i in controls)] for c in range(len(idx))]
+    trace = np.vdot(v, u)
+    miss = u - np.exp(1j * np.angle(trace)) * v
+    worst = max(np.linalg.norm(miss[:, cols], 2) for cols in idx)
+    return float(worst), float(max(0.0, 1.0 - abs(trace) / len(u))), bool(worst <= 1e-6)
 
 
-def off_block_max(u: np.ndarray, target: int = 0) -> float:
-    """Largest |entry| that connects two different control patterns."""
-    idx = pattern_indices(u.shape[0].bit_length() - 1, target)
-    off = np.abs(u)
-    off[idx[:, :, None], idx[:, None, :]] = 0.0
-    return float(np.max(off))
-
-
-def column_pair_miss(u: np.ndarray, v: np.ndarray, target: int = 0) -> float:
-    """LAPACK reference for the verdict's worst_block: the largest 2-norm of
-    a pattern's two columns of U - e^(i*phi) V, phi = arg tr(V^dag U)."""
-    d = u - np.exp(1j * np.angle(np.trace(v.conj().T @ u))) * v
-    return max(np.linalg.norm(d[:, cols], 2) for cols in pattern_indices(u.shape[0].bit_length() - 1, target))
+def checked_verdict(circuit: Circuit, kind: str, n: int, **request):
+    """``verify_circuit``'s Verdict on a compiled train, once ``oracle_verdict``
+    has read the same worst_block, phase_distance and passed."""
+    verdict = verify_circuit(circuit, kind, n, **request)
+    worst, distance, passed = oracle_verdict(circuit, kind, n, **request)
+    assert np.isclose(verdict.worst_block, worst, rtol=1e-9, atol=1e-13), (verdict, worst)
+    assert np.isclose(verdict.phase_distance, distance, rtol=1e-9, atol=1e-14), (verdict, distance)
+    assert verdict.passed == passed
+    return verdict
 
 
 def solve_pins(points, degree: int, parity: str) -> np.ndarray:

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from _helpers import plan_from_merged
+from _helpers import checked_verdict, plan_from_merged
 from hypothesis import given, settings, strategies as st
 
 from mscompile import (
@@ -15,14 +15,10 @@ from mscompile import (
     UnknownGateError,
     build_crot_circuit,
     build_toffoli_circuit,
-    circuit_unitary,
     crot_angles,
     default_params,
     deserialize,
-    ideal_toffoli,
-    phase_distance,
     plan_merged_angles,
-    project_ancilla,
     serialize,
     to_text,
 )
@@ -74,16 +70,14 @@ class TestBuildFromMerged:
             merged = plan_merged_angles(plan)
             back = plan_from_merged(n, merged)
             np.testing.assert_allclose(plan_merged_angles(back), merged, rtol=0, atol=1e-12)
-            direct = circuit_unitary(build_crot_circuit(plan))
-            assert phase_distance(direct, circuit_unitary(build_crot_circuit(back))) < 1e-12
+            # both trains within 1e-12 of the ideal, so within 2e-12 of each other
+            for circ in (build_crot_circuit(plan), build_crot_circuit(back)):
+                assert checked_verdict(circ, "crot", n, alpha=alpha).worst_block < 1e-12
 
     def test_table1_n3_row(self):
-        from mscompile import ideal_crot
-
         row = [-1.855, -2.118, -0.525, -2.118, -1.855, -PI, 0.0]
         circ = build_crot_circuit(plan_from_merged(3, row))
-        dist = phase_distance(circuit_unitary(circ), ideal_crot(3, -PI))
-        assert dist < 1e-2
+        assert checked_verdict(circ, "crot", 3, alpha=-PI).phase_distance < 1e-2
 
 
 class TestToffoli:
@@ -94,15 +88,11 @@ class TestToffoli:
     def test_n2_matches_controlled_x(self):
         circ = build_toffoli_circuit(2)
         assert circ.ms_count() == 6
-        block, leakage = project_ancilla(circuit_unitary(circ), 2, 0)
-        assert leakage < 1e-10
-        assert phase_distance(block, ideal_toffoli(2)) < 1e-6
+        # Toffoli x 1, amplitude that flips the ancilla counted as a miss
+        assert checked_verdict(circ, "toffoli", 2).worst_block < 1e-10
 
     def test_n3_matches_ideal(self):
-        circ = build_toffoli_circuit(3)
-        block, leakage = project_ancilla(circuit_unitary(circ), 3, 0)
-        assert leakage < 1e-10
-        assert phase_distance(block, ideal_toffoli(3)) < 1e-6
+        assert checked_verdict(build_toffoli_circuit(3), "toffoli", 3).worst_block < 1e-10
 
     def test_n4_ms_count(self):
         assert build_toffoli_circuit(4).ms_count() == 10

@@ -5,14 +5,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from _helpers import (
-    column_pair_miss,
+    axis_unitary,
+    checked_verdict,
     dense_ms,
+    dense_verdict,
     embed,
-    off_block_max,
     oracle_verdict,
     pattern_indices,
     slow_unitary,
-    target_blocks,
 )
 
 from mscompile import (
@@ -20,18 +20,20 @@ from mscompile import (
     Gate,
     build_crot_circuit,
     build_toffoli_circuit,
-    circuit_unitary,
     crot_angles,
+    verify_circuit,
+    weighted_angles,
+)
+from mscompile import simulate
+from mscompile.simulate import (
+    _fused_ops,
+    circuit_unitary,
     ideal_crot,
     ideal_toffoli,
     ideal_weighted,
     phase_distance,
     project_ancilla,
-    verify_circuit,
-    weighted_angles,
 )
-from mscompile import simulate
-from mscompile.simulate import _fused_ops
 from mscompile.su2 import rx, rz
 
 PI = np.pi
@@ -51,8 +53,27 @@ def _random_circuit(rng, n, length):
     return Circuit(n, tuple(gates))
 
 
+def _pattern_blocks(circ):
+    """The block store seen pattern by pattern: ``pattern_indices`` over its
+    active qubits, and each pattern's block, the store's at the pattern's weight."""
+    store, active = simulate._block_store(circ)
+    idx = pattern_indices(circ.num_qubits, active)
+    return idx, store.swapaxes(0, 1)[np.bitwise_count(np.arange(len(idx)))]
+
+
+def _check_store(circ, want, atol=1e-12):
+    """The block store against a dense unitary: every pattern's block is
+    want's, and want connects no two patterns."""
+    idx, blocks = _pattern_blocks(circ)
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    np.testing.assert_allclose(want[rows, cols], blocks, atol=atol)
+    between = want.copy()
+    between[rows, cols] = 0.0
+    np.testing.assert_allclose(between, 0.0, atol=atol)
+
+
 def _gate_by_gate(circ, j):
-    """|j> pushed through the circuit one single-gate unitary at a time."""
+    """|j> pushed through the circuit one single-gate block store at a time."""
     state = np.zeros(2**circ.num_qubits, dtype=complex)
     state[j] = 1.0
     for gate in circ.gates:
@@ -61,8 +82,11 @@ def _gate_by_gate(circ, j):
 
 
 def _apply(state, gate, n):
-    """One gate applied to a state vector through its circuit_unitary."""
-    return circuit_unitary(Circuit(n, (gate,))) @ state
+    """One gate applied to a state vector through its block store, pattern by pattern."""
+    idx, blocks = _pattern_blocks(Circuit(n, (gate,)))
+    out = np.empty(2**n, dtype=complex)
+    out[idx] = np.einsum("cab,cb->ca", blocks, state[idx])
+    return out
 
 
 # Hand-built 3-qubit cases for the Hadamard frame and the fused pending gates
@@ -130,10 +154,9 @@ class TestApplyGate:
 
     def test_ms_two_qubits_closed_form(self):
         tau = 1.234
-        got = circuit_unitary(Circuit(2, (Gate.ms(tau),)))
         xx = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
         want = np.exp(-0.5j * tau) * (np.cos(tau / 2) * np.eye(4) - 1j * np.sin(tau / 2) * xx)
-        np.testing.assert_allclose(got, want, atol=1e-13)
+        _check_store(Circuit(2, (Gate.ms(tau),)), want, atol=1e-13)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(20)
@@ -209,15 +232,14 @@ class TestCircuitUnitary:
 
 
 class TestFrameTracker:
-    """circuit_unitary's per-qubit frame and fusion against plain references."""
+    """The block store's per-qubit frame and fusion against plain references."""
 
     @staticmethod
     def _check(circ):
-        n = circ.num_qubits
-        got = circuit_unitary(circ)
-        np.testing.assert_allclose(got, slow_unitary(circ), atol=1e-12)
-        for j in range(2**n):
-            np.testing.assert_allclose(got[:, j], _gate_by_gate(circ, j), atol=1e-12)
+        want = slow_unitary(circ)
+        _check_store(circ, want)
+        for j in range(2**circ.num_qubits):
+            np.testing.assert_allclose(want[:, j], _gate_by_gate(circ, j), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_circuits(self, seed):
@@ -285,14 +307,14 @@ BLOCK_CASES = {
 
 
 class TestBlockStore:
-    """circuit_unitary on circuits whose fused 2x2s touch only some qubits."""
+    """The block store of circuits whose fused 2x2s touch only some qubits."""
 
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     def test_matches_reference(self, case):
         build, active = BLOCK_CASES[case]
         circ = build()
         assert sorted({q for q, _ in _fused_ops(circ) if q is not None}) == active
-        np.testing.assert_allclose(circuit_unitary(circ), slow_unitary(circ), atol=1e-12)
+        _check_store(circ, slow_unitary(circ))
 
 
 class TestIdealUnitaries:
@@ -307,10 +329,12 @@ class TestIdealUnitaries:
         if target == 0:  # the Toffoli target is always qubit 0
             x = np.array([[0, 1], [1, 0]])
             cases.append((ideal_toffoli(n), lambda c: x if c == last else np.eye(2)))
+        idx = pattern_indices(n, (target,))
+        rows, cols = idx[:, :, None], idx[:, None, :]
         for u, want in cases:
-            assert off_block_max(u, target) == 0.0
-            for c, idx in enumerate(pattern_indices(n, target)):
-                np.testing.assert_array_equal(u[np.ix_(idx, idx)], want(c))
+            np.testing.assert_array_equal(u[rows, cols], [want(c) for c in range(len(idx))])
+            u[rows, cols] = 0.0
+            assert not u.any()  # nothing between two patterns
 
     def test_crot_identity_angle(self):
         np.testing.assert_array_equal(ideal_crot(3, 0.0), np.eye(8))
@@ -340,8 +364,8 @@ class TestIdealUnitaries:
     def test_weighted_blocks(self):
         alphas = (0.2, 0.9, 1.7)
         u = ideal_weighted(3, alphas)
-        for ctrl, block in enumerate(target_blocks(u)):
-            np.testing.assert_allclose(block, rx(alphas[bin(ctrl).count('1')]), atol=1e-15)
+        for ctrl, idx in enumerate(pattern_indices(3)):
+            np.testing.assert_allclose(u[np.ix_(idx, idx)], rx(alphas[bin(ctrl).count('1')]), atol=1e-15)
 
 
 _N_TAKERS = {
@@ -396,10 +420,9 @@ class TestPhaseDistance:
     def test_worst_block_sees_the_controlled_block(self):
         circ = build_crot_circuit(crot_angles(6, 1.1), target=2)
         verdict = verify_circuit(circ, "crot", 6, alpha=1.15)
-        u, v = circuit_unitary(circ), ideal_crot(6, 1.15, target=2)
-        phase = np.vdot(v, u) / abs(np.vdot(v, u))
-        want = max(np.linalg.norm(bu - phase * bv, 2) for bu, bv in zip(target_blocks(u, 2), target_blocks(v, 2)))
+        want, distance, _ = oracle_verdict(circ, "crot", 6, alpha=1.15)
         assert verdict.worst_block == pytest.approx(want, rel=1e-12)
+        assert verdict.phase_distance == pytest.approx(distance, rel=1e-9)
         # the trace weighs the one differing block by 2^-5
         assert verdict.phase_distance < 1e-4 < 1e-2 < want
 
@@ -498,17 +521,16 @@ def _relabelled_toffoli(n, ancilla):
 
 
 def _kicked_toffoli(seed, between=False):
-    """A Toffoli train with small rotations on random qubits, the ancilla
-    among them; two of ten have the ancilla moved to qubit 0, and with
-    between the train is relabelled to hold it on a drawn qubit strictly
-    between 0 and n."""
+    """A Toffoli train with three rotations of at most 0.1 on random qubits,
+    the ancilla among them.  The ancilla is qubit n, or qubit 0 in two of
+    ten; with between, a drawn qubit strictly between 0 and n."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 6))
     ancilla = int(rng.integers(1, n)) if between else 0 if seed >= 8 else n
     qubits = (ancilla, *rng.integers(n + 1, size=2))
-    kicks = [Gate(str(rng.choice(["RX", "RY", "RZ"])), q, rng.uniform(-0.1, 0.1)) for q in qubits]
-    circ = _relabelled_toffoli(n, ancilla)[0] if between else build_toffoli_circuit(n)
-    return Circuit(n + 1, circ.gates + tuple(kicks), 0, {ancilla}), "toffoli", n, {}
+    kicks = tuple(Gate(str(rng.choice(["RX", "RY", "RZ"])), q, rng.uniform(-0.1, 0.1)) for q in qubits)
+    circ = _relabelled_toffoli(n, ancilla)[0]
+    return replace(circ, gates=circ.gates + kicks), "toffoli", n, {}
 
 
 def _ci_leak(kind):
@@ -545,62 +567,62 @@ def _random_verdict_case(seed):
     return circ, "weighted", n, {"alphas": tuple(rng.uniform(-PI, PI, n))}
 
 
+# name -> (case, whether it is a compiled train, which the weight-walk oracle reads)
 VERDICT_CASES = {
-    **{f"{kind}{n}": (lambda kind=kind, n=n: _compiled(kind, n, seed=n))
+    **{f"{kind}{n}": (lambda kind=kind, n=n: _compiled(kind, n, seed=n), True)
        for kind in ("crot", "weighted", "toffoli") for n in range(2, 9 if kind != "toffoli" else 8)},
-    "crot5_target2": lambda: _compiled("crot", 5, target=2),
-    "weighted4_target3": lambda: _compiled("weighted", 4, target=3),
-    "ci_crot10_leak": lambda: _ci_leak("crot"),
-    "ci_toffoli9_leak": lambda: _ci_leak("toffoli"),
-    **{f"random{seed}": (lambda seed=seed: _random_verdict_case(seed)) for seed in range(30)},
-    **{f"toffoli_kicked{seed}": (lambda seed=seed: _kicked_toffoli(seed)) for seed in range(10)},
-    **{f"toffoli_kicked{seed}_ancilla_between": (lambda seed=seed: _kicked_toffoli(seed, between=True))
+    "crot5_target2": (lambda: _compiled("crot", 5, target=2), True),
+    "weighted4_target3": (lambda: _compiled("weighted", 4, target=3), True),
+    "ci_crot10_leak": (lambda: _ci_leak("crot"), False),
+    "ci_toffoli9_leak": (lambda: _ci_leak("toffoli"), False),
+    **{f"random{seed}": (lambda seed=seed: _random_verdict_case(seed), False) for seed in range(30)},
+    **{f"toffoli_kicked{seed}": (lambda seed=seed: _kicked_toffoli(seed), False) for seed in range(10)},
+    **{f"toffoli_kicked{seed}_ancilla_between": (lambda seed=seed: _kicked_toffoli(seed, between=True), False)
        for seed in range(10)},
-    **{f"toffoli{n}_ancilla{a}": (lambda n=n, a=a: _relabelled_toffoli(n, a)) for n in (2, 4, 5) for a in range(n)},
-    **{name: case for name, (case, _) in ANCILLA_CASES.items()},
+    **{f"toffoli{n}_ancilla{a}": (lambda n=n, a=a: _relabelled_toffoli(n, a), False)
+       for n in (2, 4, 5) for a in range(n)},
+    **{name: (case, False) for name, (case, _) in ANCILLA_CASES.items()},
 }
 
 
-def _with_ancilla(v, ancilla):
-    """v on the logical qubits, tensored with the identity on qubit ancilla."""
-    hi, lo = len(v) >> ancilla, 1 << ancilla
-    full = np.einsum("hlHL,bB->hblHBL", v.reshape(hi, lo, hi, lo), np.eye(2))
-    return full.reshape(2 * len(v), 2 * len(v))
-
-
-def _dense_verdict(circ, kind, n, alpha=None, alphas=None):
-    """worst_block and phase_distance from the dense unitary: the LAPACK
-    column-pair miss and phase_distance, a Toffoli against Toffoli x 1 with
-    its target the lowest qubit but the ancilla."""
-    u, target = circuit_unitary(circ), circ.target_qubit
-    if kind == "toffoli":
-        ancilla = next(iter(circ.ancilla_qubits))
-        ideal, target = _with_ancilla(ideal_toffoli(n), ancilla), int(ancilla == 0)
-    elif kind == "crot":
-        ideal = ideal_crot(n, alpha, target)
-    else:
-        ideal = ideal_weighted(n, alphas, target)
-    return column_pair_miss(u, ideal, target), phase_distance(u, ideal)
+@pytest.mark.parametrize("seed", range(12))
+def test_axis_unitary_matches_slow_unitary(seed):
+    # the dense reference past 6 qubits against slow_unitary, on every gate kind up to 6
+    circ = _random_circuit(np.random.default_rng(700 + seed), 1 + seed % 6, 30)
+    np.testing.assert_allclose(axis_unitary(circ), slow_unitary(circ), atol=1e-13)
 
 
 class TestVerifyCircuit:
     @pytest.mark.parametrize("kind", ["crot", "toffoli", "weighted"])
     def test_compiled_gates_pass_on_the_measures_it_reports(self, kind):
         circ, _, _, args = _compiled(kind, 3, seed=3)
-        verdict = verify_circuit(circ, kind, 3, **args)
-        block_miss, distance = _dense_verdict(circ, kind, 3, **args)
+        verdict = checked_verdict(circ, kind, 3, **args)
         assert verdict.passed and verdict.worst_block < 1e-12
-        assert verdict.worst_block == pytest.approx(block_miss, rel=1e-12, abs=1e-15)
-        assert verdict.phase_distance == pytest.approx(distance, abs=1e-14)
 
-    @pytest.mark.parametrize("case", VERDICT_CASES.values(), ids=VERDICT_CASES.keys())
-    def test_verdict_matches_the_dense_reference(self, case):
+    @pytest.mark.parametrize("case, compiled", VERDICT_CASES.values(), ids=VERDICT_CASES.keys())
+    def test_verdict_matches_the_dense_reference(self, case, compiled):
+        # a compiled train against the weight-walk oracle; any other circuit against
+        # its dense unitary, from slow_unitary, or axis_unitary past 6 qubits
         circ, kind, n, args = case()
         verdict = verify_circuit(circ, kind, n, **args)
-        block_miss, distance = _dense_verdict(circ, kind, n, **args)
-        assert verdict.worst_block == pytest.approx(block_miss, rel=1e-12, abs=1e-15)
-        assert verdict.phase_distance == pytest.approx(distance, abs=1e-14)
+        if compiled:
+            block_miss, distance, _ = oracle_verdict(circ, kind, n, **args)
+        else:
+            u = slow_unitary(circ) if circ.num_qubits <= 6 else axis_unitary(circ)
+            block_miss, distance, _ = dense_verdict(u, circ, kind, n, **args)
+        assert verdict.worst_block == pytest.approx(block_miss, rel=1e-12, abs=1e-13)
+        assert verdict.phase_distance == pytest.approx(distance, abs=1e-13)
         assert verdict.passed == (block_miss <= 1e-6)
+
+    @pytest.mark.parametrize("between", [False, True], ids=["ancilla_last_or_first", "ancilla_between"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_kicked_toffoli_misses_by_its_kicks(self, seed, between):
+        # three rotations of at most 0.1 move a pattern's columns by at most the sum of
+        # their angles; the twenty cases read 0.02..0.09, so every one is a kicked Toffoli
+        circ, kind, n, _ = _kicked_toffoli(seed, between)
+        verdict = verify_circuit(circ, kind, n)
+        assert 0.01 < verdict.worst_block <= sum(abs(g.angle) for g in circ.gates[-3:])
+        assert verdict.worst_block < 0.2
 
     @pytest.mark.parametrize("case, passed", ANCILLA_CASES.values(), ids=ANCILLA_CASES.keys())
     def test_the_toffoli_ancilla_is_borrowed(self, case, passed):
@@ -739,20 +761,15 @@ def test_verdict_matches_the_weight_walk_oracle(kind, n, wrong):
     elif wrong:
         args = {"alphas": (*args["alphas"][:-1], args["alphas"][-1] + 0.05)}
     verdict = verify_circuit(circ, kind, n, **args)
-    worst, passed = oracle_verdict(circ, kind, n, **args)
+    worst, distance, passed = oracle_verdict(circ, kind, n, **args)
     assert verdict.passed == passed == (not wrong)
     assert verdict.worst_block == pytest.approx(worst, rel=1e-9, abs=1e-10)
+    assert verdict.phase_distance == pytest.approx(distance, rel=1e-9, abs=1e-12)
 
 
 class TestBlockStructure:
     def test_compiled_crot_blocks(self):
-        plan = crot_angles(5, 0.3)
-        u = circuit_unitary(build_crot_circuit(plan))
-        assert off_block_max(u) < 1e-10
-        for ctrl, block in enumerate(target_blocks(u)):
-            if bin(ctrl).count("1") != 4:
-                assert abs(block[0, 1]) < 1e-9 and abs(block[1, 0]) < 1e-9
-                assert abs(block[0, 0] - block[1, 1]) < 1e-9
-            else:
-                ph = block[0, 0] / rz(0.3)[0, 0]
-                np.testing.assert_allclose(block, ph * rz(0.3), atol=1e-9)
+        # worst_block bounds the amplitude leaked between patterns, each idle
+        # pattern's miss of 1 and the controlled pattern's of Rz(0.3), under one phase
+        verdict = checked_verdict(build_crot_circuit(crot_angles(5, 0.3)), "crot", 5, alpha=0.3)
+        assert verdict.worst_block < 1e-10

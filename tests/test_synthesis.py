@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from _helpers import (
+    checked_verdict,
     crot_targets,
     full_width_angles,
     node_block_miss,
@@ -21,13 +22,10 @@ from mscompile import (
     TrigSeries,
     build_crot_circuit,
     build_toffoli_circuit,
-    circuit_unitary,
     crot_angles,
     evaluate_plan,
     extract_angles,
-    ideal_weighted,
     pad_for_phase_reset,
-    phase_distance,
     phase_reset_ok,
     weighted_angles,
 )
@@ -284,7 +282,7 @@ class TestWeightedAngles:
         # completion once leaked a nonzero sin(0) coefficient into C here
         alphas = np.random.default_rng(100 * n + seed).uniform(-np.pi, np.pi, size=n)
         circ = build_crot_circuit(weighted_angles(n, alphas))
-        assert phase_distance(circuit_unitary(circ), ideal_weighted(n, alphas)) < 1e-9
+        assert checked_verdict(circ, "weighted", n, alphas=alphas).worst_block < 1e-9
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_pad_alone_lengthens_the_train(self, monkeypatch, n):
